@@ -78,10 +78,19 @@ func (f *Field) Registers() int { return 2 * len(f.pairs) }
 // The long-lived service layer calls it only at generation quiescence (no
 // attached session can still read or write these registers), which is what
 // makes the poke equivalent to allocating a fresh field.
+//
+// Registers already holding Null are skipped (shmem.Reg.Clear), so a recycle
+// costs a scan of plain loads plus one poke per register the generation
+// wrote; a contender touches at most a few pairs of a large field. The
+// postcondition is unchanged: every register holds Null. A register that was
+// already Null keeps its version counter instead of having it bumped. Only
+// the state-capture layer reads versions, and it never coexists with
+// recycling: vexec refuses Relaunch under EnableState, and the service
+// proofs use the stateless walker.
 func (f *Field) Reset() {
 	for i := range f.pairs {
-		f.pairs[i].H.Poke(shmem.Null)
-		f.pairs[i].R.Poke(shmem.Null)
+		f.pairs[i].H.Clear()
+		f.pairs[i].R.Clear()
 	}
 }
 

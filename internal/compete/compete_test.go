@@ -174,3 +174,65 @@ func TestFieldAccounting(t *testing.T) {
 		t.Fatalf("Claimed = %v, want {4:3}", w)
 	}
 }
+
+// TestResetRestoresFreshField: after contended renames under random
+// schedules (some with crashes, which strand half-finished competitions),
+// Reset leaves every register Null, pokes only the registers that were
+// written (a Null register keeps its version), and the recycled field is
+// fresh again: a solo contender wins pair 0 (Lemma 1's no-contention
+// property), so a solo rename returns name 1.
+func TestResetRestoresFreshField(t *testing.T) {
+	const k, m = 6, 14
+	for seed := uint64(0); seed < 40; seed++ {
+		ff := NewFirstFit(m)
+		f := ff.field
+		for round := 0; round < 3; round++ {
+			var crashes sched.CrashPlan
+			if seed%2 == 1 {
+				crashes = sched.RandomCrashes(seed+100*uint64(round), 0.1, k-1)
+			}
+			res := sched.Run(k, nil, sched.NewRandom(seed*7+uint64(round)), crashes, func(p *shmem.Proc) {
+				ff.Rename(p, p.Name())
+			})
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			regs := func(i int) [2]*shmem.Reg {
+				pr := f.Pair(i)
+				return [2]*shmem.Reg{&pr.H, &pr.R}
+			}
+			written, before, wasNull := 0, make([]uint64, 2*m), make([]bool, 2*m)
+			for i := 0; i < m; i++ {
+				for j, r := range regs(i) {
+					before[2*i+j], wasNull[2*i+j] = r.Version(), r.Peek() == shmem.Null
+					if !wasNull[2*i+j] {
+						written++
+					}
+				}
+			}
+			if written == 0 {
+				t.Fatalf("seed %d round %d: contended rename wrote no register", seed, round)
+			}
+			f.Reset()
+			for i := 0; i < m; i++ {
+				for j, r := range regs(i) {
+					if v := r.Peek(); v != shmem.Null {
+						t.Fatalf("seed %d round %d: pair %d register %d holds %d after Reset", seed, round, i, j, v)
+					}
+					bumped := r.Version() != before[2*i+j]
+					if bumped == wasNull[2*i+j] {
+						t.Fatalf("seed %d round %d: pair %d register %d: was Null %v, version bumped %v",
+							seed, round, i, j, wasNull[2*i+j], bumped)
+					}
+				}
+			}
+		}
+		if !Compete(shmem.NewProc(0, 1, nil), f.Pair(0), 1) {
+			t.Fatalf("seed %d: solo contender lost pair 0 of a reset field", seed)
+		}
+		f.Reset()
+		if name, ok := ff.Rename(shmem.NewProc(0, 1, nil), 1); !ok || name != 1 {
+			t.Fatalf("seed %d: solo rename on a reset field = (%d, %v), want (1, true)", seed, name, ok)
+		}
+	}
+}

@@ -44,5 +44,6 @@ func (ff *FirstFit) Registers() int { return ff.field.Registers() }
 // Recycle rewinds the instance to its freshly constructed state (all pairs
 // Null) without reallocating. Harness-level: callers must guarantee no
 // process is mid-scan — the long-lived service recycles an instance only
-// once its generation is quiescent.
+// once its generation is quiescent. Registers the generation never wrote
+// are skipped and keep their version counters (see Field.Reset).
 func (ff *FirstFit) Recycle() { ff.field.Reset() }

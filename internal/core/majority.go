@@ -47,7 +47,10 @@ func (m *Majority) MaxSteps() int64 { return int64(5 * m.graph.Degree) }
 // Recycle rewinds the register field to its freshly constructed state while
 // keeping the (expensive) expander graph. Harness-level: no process may be
 // mid-walk — the long-lived service recycles an instance only once its
-// generation is quiescent.
+// generation is quiescent. It costs a scan of the field plus one poke per
+// register the generation wrote (see compete.Field.Reset): the ≤ℓ
+// contenders touch at most Δ pairs each out of M, and untouched registers
+// keep their version counters.
 func (m *Majority) Recycle() { m.field.Reset() }
 
 // Rename implements Renamer. It is wait-free with at most MaxSteps() local

@@ -430,8 +430,8 @@ func (s *raceScratch) row(r []uint64, j int) []uint64 { return r[j*s.words : (j+
 func (s *raceScratch) eventRow(j int) []uint64 { return s.row(s.hb, j) }
 func (s *raceScratch) coveredRow() []uint64    { return s.covered[:s.words] }
 
-func rowGet(row []uint64, i int) bool                 { return row[i>>6]&(1<<(uint(i)&63)) != 0 }
-func rowSet(row []uint64, i int)                      { row[i>>6] |= 1 << (uint(i) & 63) }
+func rowGet(row []uint64, i int) bool { return row[i>>6]&(1<<(uint(i)&63)) != 0 }
+func rowSet(row []uint64, i int)      { row[i>>6] |= 1 << (uint(i) & 63) }
 func rowOr(dst, src []uint64) {
 	for w := range dst {
 		dst[w] |= src[w]

@@ -11,8 +11,7 @@ import (
 // incremental long-lived verifier; an inconsistent transition panics at the
 // mutating step. Under the engines a bookkeeping panic is a process panic,
 // which the model checker converts into a Violation carrying the schedule —
-// the same surfacing path the one-shot panic audits use. All calls happen
-// under Service.mu.
+// the same surfacing path the one-shot panic audits use.
 type audit struct {
 	v   check.LLVerifier
 	rec check.LLRecord
@@ -68,8 +67,6 @@ func (s *Service) Record() *check.LLRecord {
 // LiveNames reports how many names are currently live according to the audit
 // (audit mode only; -1 otherwise).
 func (s *Service) LiveNames() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.audit == nil {
 		return -1
 	}

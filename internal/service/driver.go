@@ -370,15 +370,15 @@ func (d *Driver) Run() Metrics {
 		engine = "vexec"
 	}
 	m := Metrics{
-		Engine:   engine,
-		Sessions: d.acquired + d.failed + d.crashedCnt,
-		Acquired: d.acquired,
-		Failed:   d.failed,
-		Crashed:  d.crashedCnt,
-		Grants:   granted,
-		Elapsed:  elapsed,
+		Engine:     engine,
+		Sessions:   d.acquired + d.failed + d.crashedCnt,
+		Acquired:   d.acquired,
+		Failed:     d.failed,
+		Crashed:    d.crashedCnt,
+		Grants:     granted,
+		Elapsed:    elapsed,
 		AcquireMax: d.maxAcq,
-		Stats:    d.svc.Stats(),
+		Stats:      d.svc.Stats(),
 	}
 	m.AcquireP50 = d.quantile(0.50)
 	m.AcquireP99 = d.quantile(0.99)

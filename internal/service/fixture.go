@@ -83,8 +83,6 @@ func (fx *LLFixture) MaxName() int64 { return 1<<62 - 1 }
 // Registers implements check.Renamer: the presence rows plus the backends'
 // fields of the generations allocated so far (informational).
 func (fx *LLFixture) Registers() int {
-	fx.svc.mu.Lock()
-	defer fx.svc.mu.Unlock()
 	regs := 0
 	for _, sh := range fx.svc.shards {
 		gens := len(sh.pool)

@@ -44,7 +44,6 @@ package service
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/shmem"
 )
@@ -181,16 +180,13 @@ type shard struct {
 	pool  []*generation
 }
 
-// Service is the long-lived renaming service.
+// Service is the long-lived renaming service. It is driven by one engine at
+// a time and takes no locks: bookkeeping runs only inside granted steps (or
+// on the driving goroutine between grants), and both engines serialize
+// those, the vectorized one by running on a single thread and the goroutine
+// one by its gate handoffs.
 type Service struct {
-	cfg Config
-	// mu guards all bookkeeping. Bookkeeping calls happen inside granted
-	// steps, which the engines serialize, so the lock is uncontended by
-	// construction on the vectorized driver and contended only across the
-	// goroutine engine's gate handoffs; it exists for the race detector and
-	// for the sharded parallel driver, where distinct engines drive
-	// disjoint shards but share this Service value.
-	mu     sync.Mutex
+	cfg    Config
 	shards []*shard
 
 	// Counters (lifetime totals; see Stats).
@@ -241,8 +237,6 @@ func (s *Service) ShardFor(sid int64) int {
 // pooled) one if needed. It returns the generation and the session's
 // contender slot. Called from inside a granted step.
 func (s *Service) join(shardID int, sid int64) (*generation, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sh := s.shards[shardID]
 	g := sh.cur
 	if g == nil || !g.open {
@@ -264,7 +258,7 @@ func (s *Service) join(shardID int, sid int64) (*generation, int) {
 }
 
 // openGeneration activates a generation under a fresh epoch, reusing a
-// pooled quiescent one when available. Caller holds mu.
+// pooled quiescent one when available.
 func (s *Service) openGeneration(sh *shard) *generation {
 	var g *generation
 	if n := len(sh.pool); n > 0 {
@@ -293,8 +287,6 @@ func (s *Service) openGeneration(sh *shard) *generation {
 // completed the one-shot algorithm. acquireSteps is the session's local step
 // count spent on this acquire (announce write included).
 func (s *Service) won(g *generation, shardID int, slot int, sid int64, local int64, acquireSteps int64) Name {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	g.holders++
 	s.issued++
 	nm := Name{Shard: shardID, Local: local, Epoch: g.epoch}
@@ -310,8 +302,6 @@ func (s *Service) won(g *generation, shardID int, slot int, sid int64, local int
 // rejoin a younger generation (only terminal failures count in Stats).
 // Called from inside a granted step.
 func (s *Service) depart(g *generation, shardID int, slot int, sid int64, released, final bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if released {
 		g.holders--
 		s.released++
@@ -321,15 +311,13 @@ func (s *Service) depart(g *generation, shardID int, slot int, sid int64, releas
 	if s.audit != nil {
 		s.audit.depart(shardID, g.epoch, slot, sid, released)
 	}
-	s.detachLocked(g, shardID)
+	s.detach(g, shardID)
 }
 
 // closeForRetry closes the generation a session just failed in, so its next
 // join lands on a younger one. Called from inside a granted step, before the
 // rejoin.
 func (s *Service) closeForRetry(g *generation, shardID int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if g.open {
 		g.open = false
 		if s.shards[shardID].cur == g {
@@ -344,8 +332,6 @@ func (s *Service) closeForRetry(g *generation, shardID int) {
 // session may be reclaimed at most once; the audit enforces it and the
 // driver's lane bookkeeping guarantees it structurally.
 func (s *Service) Reclaim(g *generation, shardID int, slot int, sid int64, holding bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if holding {
 		g.holders--
 	}
@@ -353,21 +339,18 @@ func (s *Service) Reclaim(g *generation, shardID int, slot int, sid int64, holdi
 	if s.audit != nil {
 		s.audit.reclaim(shardID, g.epoch, slot, sid, holding)
 	}
-	s.detachLocked(g, shardID)
+	s.detach(g, shardID)
 }
 
 // CrashAttached marks a crashed attachment that will never be reclaimed (no
 // driver watching — the model-checking fixtures). The generation can then
 // never quiesce, which is safe: its registers are simply never reused.
 func (s *Service) CrashAttached(g *generation) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	g.crashed++
 }
 
-// detachLocked drops one attachment and recycles the generation at
-// quiescence. Caller holds mu.
-func (s *Service) detachLocked(g *generation, shardID int) {
+// detach drops one attachment and recycles the generation at quiescence.
+func (s *Service) detach(g *generation, shardID int) {
 	g.attached--
 	if g.attached == 0 && !g.open && g.crashed == 0 {
 		// Quiescent: no session can ever touch these registers again, so the
@@ -378,8 +361,10 @@ func (s *Service) detachLocked(g *generation, shardID int) {
 			g.backend = s.cfg.newBackend()
 			s.genAllocs++
 		}
+		// Released and failed sessions already wrote Null; a reclaimed
+		// session's tag may still be there.
 		for i := range g.pres {
-			g.pres[i].Poke(shmem.Null)
+			g.pres[i].Clear()
 		}
 		s.recycles++
 		sh := s.shards[shardID]
@@ -404,8 +389,6 @@ type Stats struct {
 
 // Stats returns a snapshot of the lifetime counters.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return Stats{
 		Issued:    s.issued,
 		Released:  s.released,

@@ -155,7 +155,7 @@ func TestStreamSpikeAligned(t *testing.T) {
 }
 
 // TestStreamMajorityBackend: the second backend drives the same streaming
-// loop (smaller run: majority's acquire is hundreds of steps).
+// loop.
 func TestStreamMajorityBackend(t *testing.T) {
 	svc := New(Config{Cap: 8, Algo: "majority", Seed: 13, Audit: true})
 	m := NewVexecDriver(svc, Workload{

@@ -43,15 +43,26 @@ type Reg struct {
 func (r *Reg) Peek() int64 { return r.v.Load() }
 
 // Poke sets the contents without charging a step. It is for harness-side
-// initialization only.
+// initialization only. It bumps the version even when v equals the current
+// contents.
 func (r *Reg) Poke(v int64) {
 	r.v.Store(v)
 	r.ver.Add(1)
 }
 
+// Clear resets the register to Null without charging a step (harness use
+// only). A register already holding Null is left untouched, version
+// included, so clearing a mostly-Null array costs a load per register plus a
+// Poke per register that was written.
+func (r *Reg) Clear() {
+	if r.v.Load() != Null {
+		r.Poke(Null)
+	}
+}
+
 // Version returns the number of writes the register has absorbed. Restoring
 // a CellState rewinds it, so a restored register is bit-identical to the
-// capture — version included.
+// capture — version included. Only the state-capture layer reads versions.
 func (r *Reg) Version() uint64 { return r.ver.Load() }
 
 // StateInto implements StateCell.
