@@ -1,12 +1,12 @@
 // Command bench runs the repository benchmark suite: a microbenchmark of
-// the scheduler grant path against the frozen pre-refactor baseline, and a
-// grid of driven executions over (algorithm, n, policy, crash plan). It
-// emits a JSON trajectory file recording ns/step, steps/sec, allocs/step and
-// observed max-steps against the paper's bound where one is stated, so
-// future performance PRs are judged against a committed baseline. The output
-// path is a required flag — trajectory files are named per PR
-// (BENCH_PR8.json is the latest committed one), and a silent default would
-// keep overwriting the oldest.
+// the scheduler grant path, and a grid of driven executions over
+// (algorithm, n, policy, crash plan). It emits a JSON trajectory file
+// recording ns/step, steps/sec, allocs/step and observed max-steps against
+// the paper's bound where one is stated. The cross-change speed guard is
+// perfbench, run on the parent and the change alike; this file is the
+// per-layer record. The output path is a required flag — trajectory files
+// are named per PR (BENCH_PR10.json is the latest committed one), and a
+// silent default would keep overwriting the oldest.
 //
 // Two vectorized-engine sections run unconditionally: vexec_step measures
 // the frame-automaton grant path against the goroutine engine's on the
@@ -39,11 +39,11 @@
 // (package adversary) over each core algorithm, recording the worst-case
 // observed per-process steps next to the paper's bound and the number of
 // distinct schedules covered, and runs the search-strategy comparison: for
-// each (algorithm, n) cell, the seeded baseline versus DPOR (budgeted to
-// the seeded sweep's fingerprint coverage), sleep sets, and coverage-guided
-// mutation, with states-explored / states-pruned per strategy next to the
-// coverage each achieved. Any invariant violation aborts the run with a
-// shrunk one-line reproducer.
+// each (algorithm, n) cell, the seeded baseline versus source-DPOR
+// (budgeted to the seeded sweep's fingerprint coverage), sleep sets, and
+// coverage-guided mutation, with states-explored / states-pruned per
+// strategy next to the coverage each achieved. Any invariant violation
+// aborts the run with a shrunk one-line reproducer.
 //
 // Usage:
 //
@@ -71,7 +71,6 @@ import (
 	"repro/internal/marename"
 	"repro/internal/model"
 	"repro/internal/sched"
-	"repro/internal/sched/baseline"
 	"repro/internal/shmem"
 	"repro/internal/snapshot"
 	"repro/internal/vexec"
@@ -85,15 +84,6 @@ type Micro struct {
 	NsPerStep   float64 `json:"ns_per_step"`
 	StepsPerSec float64 `json:"steps_per_sec"`
 	AllocsStep  float64 `json:"allocs_per_step"`
-}
-
-// MicroPair compares the rewritten grant path against the frozen baseline
-// at one population size.
-type MicroPair struct {
-	N        int     `json:"n"`
-	New      Micro   `json:"new"`
-	Baseline Micro   `json:"baseline"`
-	Speedup  float64 `json:"speedup"`
 }
 
 // GridEntry is one (algorithm, n, policy, crash plan) configuration.
@@ -135,10 +125,9 @@ type AdversaryEntry struct {
 // separately as Replayed, so the reconstruction overhead of stateless
 // search is visible next to the reduction — and next to the stateful
 // source-DPOR rows, whose Replayed is zero by construction (Restored counts
-// their checkpoint rewinds instead). DPOR and source-DPOR rows are
-// coverage-matched — their execution budget is the seeded row's Distinct,
-// so Explored below the seeded row's is partial-order reduction, not a
-// smaller sweep.
+// their checkpoint rewinds instead). Source-DPOR rows are coverage-matched
+// — their execution budget is the seeded row's Distinct, so Explored below
+// the seeded row's is partial-order reduction, not a smaller sweep.
 type StrategyEntry struct {
 	Algorithm  string `json:"algorithm"`
 	N          int    `json:"n"`
@@ -271,7 +260,7 @@ type HBCheckEntry struct {
 // VexecMicro compares the vectorized engine's grant path against the
 // goroutine engine's on the identical spinning-read workload: one lane
 // stepping through the same round-robin decision loop. The goroutine row it
-// is paired with is the controller_step "new" measurement at the same n, so
+// is paired with is the controller_step measurement at the same n, so
 // speedup_vs_goroutine is the per-grant price of the cross-goroutine
 // rendezvous that vexec eliminates.
 type VexecMicro struct {
@@ -311,7 +300,7 @@ type Report struct {
 	GOMAXPROCS int                `json:"gomaxprocs"`
 	Quick      bool               `json:"quick"`
 	StepN      []Micro            `json:"stepn_batched"`
-	Micro      []MicroPair        `json:"controller_step"`
+	Micro      []Micro            `json:"controller_step"`
 	VexecStep  []VexecMicro       `json:"vexec_step"`
 	VexecBatch []VexecBatch       `json:"vexec_batch"`
 	Grid       []GridEntry        `json:"grid"`
@@ -331,9 +320,9 @@ func mallocs() uint64 {
 	return ms.Mallocs
 }
 
-// measureNewStep drives the rewritten controller for steps grants through
-// the production decision loop (round-robin iterator policy).
-func measureNewStep(n int, steps int64) Micro {
+// measureControllerStep drives the controller for steps grants through the
+// production decision loop (round-robin iterator policy).
+func measureControllerStep(n int, steps int64) Micro {
 	var r shmem.Reg
 	c := sched.NewController(n, nil, func(p *shmem.Proc) {
 		for {
@@ -351,34 +340,6 @@ func measureNewStep(n int, steps int64) Micro {
 	dm := mallocs() - m0
 	return Micro{
 		Name:        "controller_step",
-		N:           n,
-		Steps:       steps,
-		NsPerStep:   float64(el.Nanoseconds()) / float64(steps),
-		StepsPerSec: float64(steps) / el.Seconds(),
-		AllocsStep:  float64(dm) / float64(steps),
-	}
-}
-
-// measureBaselineStep drives the frozen seed controller identically (its
-// only decision API: allocated Pending slice per decision).
-func measureBaselineStep(n int, steps int64) Micro {
-	var r shmem.Reg
-	c := baseline.NewController(n, nil, func(p *shmem.Proc) {
-		for {
-			p.Read(&r)
-		}
-	})
-	defer c.Abort()
-	rr := &baseline.RoundRobin{}
-	m0 := mallocs()
-	start := time.Now()
-	for i := int64(0); i < steps; i++ {
-		c.Step(rr.Next(c.Pending()))
-	}
-	el := time.Since(start)
-	dm := mallocs() - m0
-	return Micro{
-		Name:        "baseline_step",
 		N:           n,
 		Steps:       steps,
 		NsPerStep:   float64(el.Nanoseconds()) / float64(steps),
@@ -430,7 +391,7 @@ func (f *spinReadFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 }
 
 // measureVexecStep drives the vectorized engine through the identical
-// decision loop as measureNewStep: same spinning-read bodies, same
+// decision loop as measureControllerStep: same spinning-read bodies, same
 // round-robin iterator policy, one grant per iteration.
 func measureVexecStep(n int, steps int64) Micro {
 	var r shmem.Reg
@@ -691,18 +652,16 @@ func runAdversary(sizes []int, runs int) []AdversaryEntry {
 
 // runStrategies is the search-strategy comparison over the conformance
 // table at tiny populations: the seeded baseline (all families) against
-// DPOR, stateful source-DPOR, sleep sets, and coverage-guided mutation on
-// the same cells. The tree budgets are set to the seeded row's
-// distinct-fingerprint count, so their rows answer the question the
-// refactors pose: what does equal coverage cost? A cell where
-// dpor.states_explored < seeded.states_explored at dpor.distinct >=
-// seeded.distinct demonstrates partial-order pruning; a cell where the
-// sourcedpor row beats the dpor row (fewer states or replay eliminated, at
-// no less coverage) demonstrates the PR-5 engine.
+// stateful source-DPOR, sleep sets, and coverage-guided mutation on the
+// same cells. The source-DPOR budget is set to the seeded row's
+// distinct-fingerprint count, so its row answers the question: what does
+// equal coverage cost? A cell where sourcedpor.states_explored <
+// seeded.states_explored at sourcedpor.distinct >= seeded.distinct
+// demonstrates partial-order pruning; a sweep with no such cell fails the
+// bench.
 func runStrategies(runs int) []StrategyEntry {
 	var out []StrategyEntry
 	prunedCells := 0
-	srcCells := 0
 	for _, a := range conformance.Cases() {
 		for _, n := range []int{2, 3} {
 			explore := func(name string, maker adversary.StrategyMaker, cellRuns int, fams []adversary.Family) StrategyEntry {
@@ -746,62 +705,43 @@ func runStrategies(runs int) []StrategyEntry {
 			if budget < 1 {
 				budget = 1
 			}
-			dpor := explore("dpor", adversary.DPOR(budget), budget, one)
 			src := explore("sourcedpor", adversary.SourceDPOR(budget, 0), budget, one)
 			sleep := explore("sleepset", adversary.SleepSets(seeded.Runs, n-1), seeded.Runs, one)
 			cov := explore("covguided", adversary.CoverageGuided(seeded.Runs), seeded.Runs, one)
-			out = append(out, seeded, dpor, src, sleep, cov)
-			if dpor.Distinct >= seeded.Distinct && dpor.Explored < seeded.Explored {
+			out = append(out, seeded, src, sleep, cov)
+			if src.Distinct >= seeded.Distinct && src.Explored < seeded.Explored {
 				prunedCells++
 			}
-			// The PR-5 comparison: at the same execution budget (hence at
-			// least equal fingerprint coverage — every tree execution is a
-			// distinct Mazurkiewicz trace), source sets must pay no more
-			// explored decisions than the PR-3 all-pairs engine, with replay
-			// gone entirely; a strict win on either axis counts the cell.
-			if src.Distinct >= dpor.Distinct && src.Explored <= dpor.Explored && src.Replayed == 0 &&
-				(src.Explored < dpor.Explored || dpor.Replayed > 0) {
-				srcCells++
-			}
 			fmt.Fprintf(os.Stderr,
-				"strategy %-14s n=%d  seeded %5d explored/%4d distinct  dpor %5d/%4d (+%d replayed)  sourcedpor %5d/%4d (+0 replayed)  sleepset %5d/%4d  covguided %5d/%4d\n",
-				a.Name, n, seeded.Explored, seeded.Distinct, dpor.Explored, dpor.Distinct, dpor.Replayed,
+				"strategy %-14s n=%d  seeded %5d explored/%4d distinct  sourcedpor %5d/%4d (+0 replayed)  sleepset %5d/%4d  covguided %5d/%4d\n",
+				a.Name, n, seeded.Explored, seeded.Distinct,
 				src.Explored, src.Distinct, sleep.Explored, sleep.Distinct, cov.Explored, cov.Distinct)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "strategy sweep: %d cells demonstrate DPOR pruning (equal coverage, fewer explored states)\n", prunedCells)
-	fmt.Fprintf(os.Stderr, "strategy sweep: %d cells demonstrate source-DPOR beating PR-3 DPOR (equal coverage, fewer states, zero replays)\n", srcCells)
+	fmt.Fprintf(os.Stderr, "strategy sweep: %d cells demonstrate source-DPOR pruning (equal coverage, fewer explored states)\n", prunedCells)
 	if prunedCells == 0 {
-		fmt.Fprintln(os.Stderr, "bench: no cell demonstrates DPOR pruning against the seeded baseline")
-		os.Exit(1)
-	}
-	if srcCells == 0 {
-		fmt.Fprintln(os.Stderr, "bench: no cell demonstrates source-DPOR improving on the PR-3 DPOR engine")
+		fmt.Fprintln(os.Stderr, "bench: no cell demonstrates source-DPOR pruning against the seeded baseline")
 		os.Exit(1)
 	}
 	return out
 }
 
-// runParallel is the PR-5 restore-and-fan-out sweep: complete model-check
-// walks of conformance fixtures under (a) the stateless sleep-set engine —
-// the PR-3 reconstruction economics, every backtrack paying an O(depth)
-// prefix replay — and (b) the stateful source-DPOR engine at each -workers
-// setting, where backtracks restore checkpoints (states_replayed is zero by
-// construction) and root subtrees fan across workers. Speedups are reported
-// against the same engine at one worker (the parallel claim) and against
-// the stateless walk (the restore-versus-replay claim). Wall-clock
-// parallelism is bounded by the hardware: single-core machines will show
-// ~1x worker scaling while the GOMAXPROCS field says why.
+// runParallel is the restore-and-fan-out sweep: complete model-check walks
+// of conformance fixtures under (a) the stateless sleep-set engine — every
+// backtrack paying an O(depth) prefix replay — and (b) the stateful
+// source-DPOR engine at each -workers setting, where backtracks restore
+// checkpoints (states_replayed is zero by construction) and root subtrees
+// fan across workers. Speedups are reported against the same engine at one
+// worker (the parallel claim) and against the stateless walk (the
+// restore-versus-replay claim). Wall-clock parallelism is bounded by the
+// hardware: single-core machines will show ~1x worker scaling while the
+// GOMAXPROCS field says why.
 func runParallel(workersList []int, quick bool) []ParallelEntry {
 	type fixture struct {
 		name       string
 		n          int
 		maxCrashes int
 	}
-	// Crash-free fixtures additionally run the stateless PR-3 DPOR engine
-	// (schedule-only by construction), so the file records complete-coverage
-	// walks of the same tree under all-pairs backtracking versus source
-	// sets.
 	fixtures := []fixture{{"majority", 3, 0}, {"adaptive", 2, 0}, {"polylog", 4, 3}, {"adaptive", 2, 1}}
 	if quick {
 		fixtures = []fixture{{"majority", 3, 0}, {"majority", 3, 2}}
@@ -826,8 +766,8 @@ func runParallel(workersList []int, quick bool) []ParallelEntry {
 				func() check.Renamer { return tc.New(n, 1) },
 				n, tc.Origs(n, 1), tc.Suite(n, "model"),
 				// Pinned to the goroutine oracle: these rows measure walker
-				// and fan-out economics against the PR-5 baseline; the
-				// engine-swap win has its own suite section (model_engines).
+				// and fan-out economics; the engine-swap win has its own
+				// suite section (model_engines).
 				model.Options{MaxCrashes: fx.maxCrashes, Walker: walker, Engine: model.EngineGoroutine, Workers: actual})
 			if rep.Violation != nil {
 				fmt.Fprintf(os.Stderr, "bench: parallel fixture %s n=%d VIOLATED: %v\n", tc.Name, n, rep.Violation)
@@ -848,12 +788,6 @@ func runParallel(workersList []int, quick bool) []ParallelEntry {
 		}
 		stateless := run(model.WalkerSleepSet, 1)
 		out = append(out, stateless)
-		if fx.maxCrashes == 0 {
-			dpor := run(model.WalkerDPOR, 1)
-			out = append(out, dpor)
-			fmt.Fprintf(os.Stderr, "parallel %-10s n=%d stateless dpor: %8.1fms  %7d explored  %6d replayed\n",
-				tc.Name, n, dpor.WallMs, dpor.Explored, dpor.Replayed)
-		}
 		// The scaling baseline is the 1-worker entry, resolved after the
 		// sweep so the -workers order cannot matter; with a list that omits
 		// 1, the speedup-vs-sequential column would be a lie and is left
@@ -892,10 +826,7 @@ func runParallel(workersList []int, quick bool) []ParallelEntry {
 // tight loop. The "off" row never touches the knob; the "atomic" row calls
 // SetModel with the zero Model, and the contract that the capability's
 // presence is free when off is enforced here: more than 5% overhead on the
-// atomic row fails the bench. (The cross-PR guard that the whole grant path
-// did not regress against the pre-refactor seed is the controller_step
-// speedup column above, whose baseline package predates the fault
-// machinery entirely.)
+// atomic row fails the bench.
 func runFaultStep(n int, steps int64) []FaultMicro {
 	measure := func(name string, m shmem.Model, set bool) Micro {
 		var best Micro
@@ -1314,7 +1245,11 @@ func main() {
 		microSteps, stepnSteps = 20000, 200000
 		sizes = []int{4, 8}
 		microSizes = []int{1, 64, 512}
-		*runs = 1
+		runsSet := false
+		flag.Visit(func(f *flag.Flag) { runsSet = runsSet || f.Name == "runs" })
+		if !runsSet {
+			*runs = 1
+		}
 	}
 
 	rep := Report{
@@ -1324,25 +1259,14 @@ func main() {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Quick:      *quick,
 	}
-	goroutineNs := map[int]Micro{}
 	for _, n := range microSizes {
-		steps := microSteps
-		if n >= 4096 && !*quick {
-			steps = microSteps / 4 // baseline is O(n)/step; keep the run bounded
-		}
-		nw := measureNewStep(n, steps)
-		bl := measureBaselineStep(n, steps)
-		goroutineNs[n] = nw
-		rep.Micro = append(rep.Micro, MicroPair{
-			N: n, New: nw, Baseline: bl,
-			Speedup: nw.StepsPerSec / bl.StepsPerSec,
-		})
-		fmt.Fprintf(os.Stderr, "controller_step n=%-5d new %8.1f ns/step (%.2f allocs)  baseline %8.1f ns/step (%.2f allocs)  speedup %.2fx\n",
-			n, nw.NsPerStep, nw.AllocsStep, bl.NsPerStep, bl.AllocsStep, nw.StepsPerSec/bl.StepsPerSec)
+		m := measureControllerStep(n, microSteps)
+		rep.Micro = append(rep.Micro, m)
+		fmt.Fprintf(os.Stderr, "controller_step n=%-5d %8.1f ns/step (%.2f allocs)\n", n, m.NsPerStep, m.AllocsStep)
 	}
-	for _, n := range microSizes {
+	for i, n := range microSizes {
 		vx := measureVexecStep(n, microSteps)
-		g := goroutineNs[n]
+		g := rep.Micro[i]
 		e := VexecMicro{
 			Name: vx.Name, N: n, Steps: vx.Steps,
 			NsPerStep: vx.NsPerStep, StepsPerSec: vx.StepsPerSec, AllocsStep: vx.AllocsStep,

@@ -46,7 +46,7 @@ type Spec struct {
 	// Strategy builds each (family, n) cell's search strategy. nil defaults
 	// to Seeded() — the pre-strategy fan-out of independent runs, one per
 	// seed — so existing campaigns, tests, and shrunk reproducer lines are
-	// untouched. DPOR, SleepSets and CoverageGuided plug in here.
+	// untouched. SourceDPOR, SleepSets and CoverageGuided plug in here.
 	Strategy StrategyMaker
 }
 

@@ -9,39 +9,31 @@ import (
 )
 
 // Tree is the stateless depth-first search over the schedule(-and-crash)
-// tree shared by the DPOR and SleepSet strategies. Each execution replays
-// the recorded choice prefix on a fresh instance (stateless model checking:
-// nothing but the choice stack is retained between executions), then extends
-// it to a maximal schedule; Backtrack truncates to the deepest node with an
+// tree behind the SleepSet strategy. Each execution replays the recorded
+// choice prefix on a fresh instance (stateless model checking: nothing but
+// the choice stack is retained between executions), then extends it to a
+// maximal schedule; Backtrack truncates to the deepest node with an
 // unexplored scheduled choice.
 //
-// Per node the engine keeps a sleep set (Godefroid): after a subtree rooted
-// at transition t is fully explored, t goes to sleep for the node's remaining
+// Every node schedules all enabled transitions (and, under the crash cap,
+// every crash), and keeps a sleep set (Godefroid): after a subtree rooted at
+// transition t is fully explored, t goes to sleep for the node's remaining
 // branches and stays asleep down any branch whose transitions are all
 // independent of it — an execution that would merely reorder t past
-// commuting grants is recognized as redundant and pruned. In DPOR mode the
-// scheduled set per node is not all enabled transitions but a backtrack set
-// grown by race analysis over completed traces (Flanagan & Godefroid):
-// whenever two events of different processes conflict on a register, the
-// earlier event's node is scheduled to also try the later event's process.
-// Every pair of dependent events contributes a backtrack point (a sound
-// over-approximation of the last-racer rule), so at least one representative
-// per Mazurkiewicz trace is executed and final-state invariants checked on
-// the explored executions hold for every schedule.
+// commuting grants is recognized as redundant and pruned. Without race
+// analysis or state hashing it is the hash-free reference the source-DPOR
+// engine is cross-checked against.
 //
 // Tree strategies search the schedules of a single deterministic system, so
 // they pin every execution to one instance seed (RunSeed).
 type Tree struct {
-	name       string
-	dpor       bool // backtrack sets from race analysis; false = full enabled sets
-	maxCrashes int  // crash-branching cap per execution; 0 = schedule-only
-	budget     int  // executions (complete + partial) cap; 0 = exhaust the tree
+	maxCrashes int // crash-branching cap per execution; 0 = schedule-only
+	budget     int // executions (complete + partial) cap; 0 = exhaust the tree
 	seed       uint64
 
 	stack     []frame
 	pos       int // replay cursor: next stack index to re-apply
 	abandoned bool
-	done      bool
 	rootPin   *Choice // restrict the search to one root decision (sharding)
 	stats     Stats
 }
@@ -88,32 +80,21 @@ type sleepEntry struct {
 	in      shmem.Intent
 }
 
-// NewDPOR returns the dynamic partial-order reduction strategy: backtrack
-// sets over the intent graph plus sleep sets, schedule-only (crash patterns
-// are the seeded families' and the model checker's job). budget caps the
-// number of executions; 0 runs until the reduced tree is exhausted, at which
-// point Stats().Complete reports the proof. seed pins the instance.
-func NewDPOR(seed uint64, budget int) *Tree {
-	return &Tree{name: "dpor", dpor: true, budget: budget, seed: seed}
-}
-
 // NewSleepSet returns the exhaustive DFS with sleep-set pruning over the
 // full schedule-and-crash tree: every enabled grant, and — while fewer than
 // maxCrashes crashes have been injected — every crash, is scheduled at every
 // node. Unbudgeted (budget 0) it exhausts the tree, which is how
 // internal/model proves invariant suites at tiny populations.
 func NewSleepSet(seed uint64, budget, maxCrashes int) *Tree {
-	return &Tree{name: "sleepset", budget: budget, maxCrashes: maxCrashes, seed: seed}
+	return &Tree{budget: budget, maxCrashes: maxCrashes, seed: seed}
 }
 
 // Name implements Strategy.
-func (t *Tree) Name() string { return t.name }
+func (t *Tree) Name() string { return "sleepset" }
 
 // PinRoot restricts the search to the subtree under one root decision, for
 // sharding a tree across DriveParallel workers: every enabled root choice is
-// some worker's pin, so the union of the shards covers the tree. Races that
-// would schedule other root choices are dropped locally — the partition
-// already owns them.
+// some worker's pin, so the union of the shards covers the tree.
 func (t *Tree) PinRoot(ch Choice) { t.rootPin = &ch }
 
 // RunSeed implements Seeder: tree searches explore the schedules of one
@@ -204,12 +185,6 @@ func (t *Tree) Next(e sched.Engine) Choice {
 		default:
 			f.btStep = bit & f.enabled
 		}
-	case t.dpor:
-		// The backtrack set starts with one arbitrary (lowest awake) enabled
-		// process; race analysis grows it as conflicts surface.
-		if first := f.enabled &^ f.doneStep; first != 0 {
-			f.btStep = first & (-first)
-		}
 	default:
 		f.btStep = f.enabled
 		if t.maxCrashes > 0 && f.crashesBefore < t.maxCrashes {
@@ -299,18 +274,15 @@ func childSleep(e sched.Engine, parent *frame) []sleepEntry {
 	return out
 }
 
-// Backtrack implements Strategy: fold the finished execution into the search
-// state (race analysis in DPOR mode), then truncate to the deepest node with
-// an unexplored scheduled transition and commit its next choice.
-func (t *Tree) Backtrack(tr sched.Trace, res sched.Result) bool {
+// Backtrack implements Strategy: count the finished execution, then truncate
+// to the deepest node with an unexplored scheduled transition and commit its
+// next choice.
+func (t *Tree) Backtrack(sched.Trace, sched.Result) bool {
 	if t.abandoned {
 		t.abandoned = false
 		t.stats.Partial++
 	} else {
 		t.stats.Executions++
-	}
-	if t.dpor {
-		t.race(tr)
 	}
 	if t.budget > 0 && t.stats.Executions+t.stats.Partial >= t.budget {
 		return false
@@ -327,38 +299,6 @@ func (t *Tree) Backtrack(tr sched.Trace, res sched.Result) bool {
 		t.pos = 0
 		return true
 	}
-	t.done = true
 	t.stats.Complete = true
 	return false
-}
-
-// race grows backtrack sets from the executed trace: for every pair of
-// dependent events of different processes, the earlier event's node is
-// scheduled to also run the later process (if it was enabled there — its
-// first pending op leads toward the race) or, failing that, every process
-// enabled there. Scheduling a point for *every* dependent pair, not just
-// each event's last racer, over-approximates classic DPOR: possibly more
-// executions, never a missed trace.
-func (t *Tree) race(tr sched.Trace) {
-	n := len(tr)
-	if n > len(t.stack) {
-		n = len(t.stack)
-	}
-	for j := 1; j < n; j++ {
-		ej := tr[j]
-		for i := j - 1; i >= 0; i-- {
-			if tr[i].Pid == ej.Pid || tr[i].Commutes(ej) {
-				continue
-			}
-			if t.rootPin != nil && i == 0 {
-				continue // root decisions are owned by the shard partition
-			}
-			f := &t.stack[i]
-			if bit := uint64(1) << uint(ej.Pid); f.enabled&bit != 0 {
-				f.btStep |= bit
-			} else {
-				f.btStep |= f.enabled
-			}
-		}
-	}
 }

@@ -3,21 +3,19 @@
 // drivers (internal/adversary, internal/model). A Strategy decides, at every
 // decision point of an in-flight execution, which pending process to grant
 // (or crash), and — when the execution completes — consumes its recorded
-// Trace to steer the next one. Five strategies ship:
+// Trace to steer the next one. Four strategies ship:
 //
 //   - Seeded: wraps a (policy, crash plan) factory per run seed — the
 //     pre-existing blind-seeding behavior, bit-for-bit, and embarrassingly
 //     parallel (Drive fans it across sched.ParallelRuns).
-//   - DPOR: dynamic partial-order reduction (Flanagan & Godefroid) with
-//     backtrack sets computed from races over the intent graph, plus sleep
-//     sets. Explores at least one representative per Mazurkiewicz trace, so
-//     final-state invariants checked on its executions are checked on all.
 //   - SleepSet: the exhaustive DFS over the full schedule-and-crash tree with
 //     sleep-set pruning of commuting grants. Unbudgeted it exhausts the tree.
-//   - SourceDPOR: the stateful engine — source sets instead of all-pairs
-//     backtracking, state-hash dedup of revisited states, and
-//     checkpoint/restore instead of prefix replay. The engine internal/model
-//     proves tiny populations with.
+//   - SourceDPOR: the stateful engine — dynamic partial-order reduction
+//     with source sets and sleep sets, state-hash dedup of revisited states,
+//     and checkpoint/restore instead of prefix replay. Explores at least one
+//     representative per Mazurkiewicz trace, so final-state invariants
+//     checked on its executions are checked on all. The engine
+//     internal/model proves tiny populations with.
 //   - CoverageGuided: fuzz-style mutation of (configuration, seed) pairs,
 //     keeping the genomes whose schedules reach never-seen prefix
 //     fingerprints.
@@ -155,10 +153,10 @@ type Stateful interface {
 }
 
 // Seeder is implemented by strategies that dictate the instance seed of each
-// execution. Tree searches (DPOR, SleepSet) pin every execution to one seed —
-// the search is over schedules of a single deterministic system — while
-// CoverageGuided picks the seed of the genome it is mutating. Drivers that
-// build a fresh algorithm instance per execution must consult it.
+// execution. Tree searches (SleepSet, SourceDPOR) pin every execution to one
+// seed — the search is over schedules of a single deterministic system —
+// while CoverageGuided picks the seed of the genome it is mutating. Drivers
+// that build a fresh algorithm instance per execution must consult it.
 type Seeder interface {
 	// RunSeed returns the instance seed for execution run. For sequential
 	// strategies it is only valid for the next execution to start.

@@ -136,23 +136,6 @@ func TestSleepSetMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestDPORMatchesBruteForce: DPOR explores at least one representative per
-// Mazurkiewicz trace, so its final-state coverage must also be total.
-func TestDPORMatchesBruteForce(t *testing.T) {
-	for _, n := range []int{2, 3} {
-		want := bruteForce(t, n, raceSystem(n))
-		got, st := driveTree(t, NewDPOR(1, 0), n, raceSystem(n))
-		if !st.Complete {
-			t.Fatalf("n=%d: DPOR did not exhaust its reduced tree: %+v", n, st)
-		}
-		for o := range want {
-			if !got[o] {
-				t.Fatalf("n=%d: outcome %q reachable but never explored by DPOR", n, o)
-			}
-		}
-	}
-}
-
 // TestSleepSetPrunesCommutingGrants: processes touching disjoint registers
 // commute everywhere, so the reduced tree is a single execution no matter
 // the population.
@@ -176,10 +159,10 @@ func TestSleepSetPrunesCommutingGrants(t *testing.T) {
 	if st.Pruned == 0 {
 		t.Fatal("no pruning recorded on a fully commuting system")
 	}
-	// DPOR finds no races at all, so it too finishes in one execution.
-	_, st = driveTree(t, NewDPOR(1, 0), n, mk)
+	// Source-DPOR finds no races at all, so it too finishes in one execution.
+	_, st = driveTree(t, NewSourceDPOR(1, 0, 0), n, mk)
 	if !st.Complete || st.Executions != 1 {
-		t.Fatalf("DPOR on a race-free system: %+v, want 1 complete execution", st)
+		t.Fatalf("source-DPOR on a race-free system: %+v, want 1 complete execution", st)
 	}
 }
 
@@ -232,11 +215,6 @@ func TestTreeDeterminism(t *testing.T) {
 	_, b := driveTree(t, NewSleepSet(7, 0, 2), 2, raceSystem(2))
 	if a != b {
 		t.Fatalf("sleep-set search not deterministic: %+v vs %+v", a, b)
-	}
-	_, a = driveTree(t, NewDPOR(7, 0), 3, raceSystem(3))
-	_, b = driveTree(t, NewDPOR(7, 0), 3, raceSystem(3))
-	if a != b {
-		t.Fatalf("DPOR search not deterministic: %+v vs %+v", a, b)
 	}
 }
 

@@ -13,15 +13,15 @@ import (
 // reduction (Abdulla, Aronis, Jonsson, Sagonas, POPL 2014) with sleep sets,
 // optional exhaustive crash branching, and 128-bit state-hash dedup of
 // revisited nodes, driven over one persistent controller through
-// checkpoint/restore. It differs from the stateless Tree engine (NewDPOR /
-// NewSleepSet) in all three dimensions the ROADMAP named:
+// checkpoint/restore. It differs from the stateless Tree engine
+// (NewSleepSet) in three dimensions:
 //
 //   - Backtrack points come from source sets: for a race between events e_i
 //     and e_j, it schedules one *initial* of the sub-sequence leading to e_j
 //     — and nothing at all when the backtrack set already contains one —
-//     instead of the PR-3 engine's "schedule the racer or every enabled
-//     process" over-approximation. Fewer scheduled points, same guarantee:
-//     at least one representative per Mazurkiewicz trace.
+//     where classic all-pairs DPOR schedules the racer or every enabled
+//     process. Fewer scheduled points, same guarantee: at least one
+//     representative per Mazurkiewicz trace.
 //
 //   - Each node carries the engine's checkpoint (sched.ExecState);
 //     backtracking restores it in O(changes since the node) rather than

@@ -62,22 +62,22 @@ func TestSourceDPORCrashBranching(t *testing.T) {
 }
 
 // TestSourceDPORNotWeakerThanDPOR: on the contended fixture the source-set
-// engine must explore no more decisions than the PR-3 all-pairs engine at
-// full coverage — the reduction the refactor claims — and restore instead of
-// replay.
+// engine must explore no more decisions than the stateless sleep-set walker
+// at full coverage — the reduction race analysis buys over sleep sets alone
+// — and restore instead of replay.
 func TestSourceDPORNotWeakerThanDPOR(t *testing.T) {
 	for _, n := range []int{3, 4} {
-		_, old := driveTree(t, NewDPOR(1, 0), n, raceSystem(n))
+		_, ss := driveTree(t, NewSleepSet(1, 0, 0), n, raceSystem(n))
 		_, src := driveTree(t, NewSourceDPOR(1, 0, 0), n, raceSystem(n))
-		if !old.Complete || !src.Complete {
-			t.Fatalf("n=%d: incomplete walks: dpor %+v, sourcedpor %+v", n, old, src)
+		if !ss.Complete || !src.Complete {
+			t.Fatalf("n=%d: incomplete walks: sleepset %+v, sourcedpor %+v", n, ss, src)
 		}
-		if src.Explored > old.Explored {
-			t.Fatalf("n=%d: source-DPOR explored %d decisions, stateless DPOR %d — source sets must not be weaker",
-				n, src.Explored, old.Explored)
+		if src.Explored > ss.Explored {
+			t.Fatalf("n=%d: source-DPOR explored %d decisions, sleep-set %d — source sets must not be weaker",
+				n, src.Explored, ss.Explored)
 		}
-		if src.Replayed != 0 || old.Replayed == 0 {
-			t.Fatalf("n=%d: replay accounting inverted: source %d, stateless %d", n, src.Replayed, old.Replayed)
+		if src.Replayed != 0 || ss.Replayed == 0 {
+			t.Fatalf("n=%d: replay accounting inverted: source %d, stateless %d", n, src.Replayed, ss.Replayed)
 		}
 		if src.Restored == 0 {
 			t.Fatalf("n=%d: no restores recorded on a branching tree: %+v", n, src)

@@ -59,10 +59,6 @@ const (
 	// WalkerSleepSet is the stateless exhaustive sleep-set DFS (hash-free
 	// cross-check).
 	WalkerSleepSet
-	// WalkerDPOR is the stateless PR-3 all-pairs DPOR (schedule-only: it
-	// rejects crash branching). Kept as the reduction baseline the bench
-	// suite measures source sets against.
-	WalkerDPOR
 )
 
 func (w Walker) String() string {
@@ -71,8 +67,6 @@ func (w Walker) String() string {
 		return "sourcedpor"
 	case WalkerSleepSet:
 		return "sleepset"
-	case WalkerDPOR:
-		return "dpor"
 	default:
 		return fmt.Sprintf("Walker(%d)", int(w))
 	}
@@ -340,11 +334,6 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 		switch opt.Walker {
 		case WalkerSleepSet:
 			return explore.NewSleepSet(1, opt.Budget, opt.MaxCrashes)
-		case WalkerDPOR:
-			if opt.MaxCrashes > 0 {
-				panic("model: WalkerDPOR is schedule-only (no crash branching)")
-			}
-			return explore.NewDPOR(1, opt.Budget)
 		default:
 			s := explore.NewSourceDPOR(1, opt.Budget, opt.MaxCrashes)
 			if opt.NoDedup {

@@ -24,8 +24,7 @@
 // data transfer), the pending set is maintained incrementally as a bitmap
 // (PendingInto and NextPending expose it without allocating), and StepN
 // grants a run of consecutive steps with one wakeup. A granted step is
-// zero-allocation in steady state; see BenchmarkControllerStep and the
-// frozen pre-refactor implementation in internal/sched/baseline.
+// zero-allocation in steady state; see BenchmarkControllerStep.
 package sched
 
 import (

@@ -143,3 +143,27 @@ func TestLeaseReclaimRecovery(t *testing.T) {
 		})
 	}
 }
+
+// TestUnreclaimedCrashBlocksRecycle: a holder that crashes fail-stop and is
+// never reclaimed stays attached to its generation, so the other session's
+// departure is not quiescence and the generation's registers are never
+// recycled.
+func TestUnreclaimedCrashBlocksRecycle(t *testing.T) {
+	for _, engine := range []string{"vexec", "goroutine"} {
+		engine := engine
+		t.Run(engine, func(t *testing.T) {
+			h := newLeaseHarness(t, engine)
+			ln0, ln1 := h.lanes[0], h.lanes[1]
+			h.stepUntil(t, 0, ln0.Holding)
+			h.e.Crash(0)
+			h.stepUntil(t, 1, func() bool { return ln1.Done > 0 })
+			st := h.svc.Stats()
+			if st.Reclaimed != 0 || st.Released != 1 {
+				t.Fatalf("want lane 1 released and the crash unreclaimed: %+v", st)
+			}
+			if st.Recycles != 0 {
+				t.Fatalf("generation recycled with a crashed session still attached: %+v", st)
+			}
+		})
+	}
+}

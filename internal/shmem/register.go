@@ -93,13 +93,6 @@ type Ref[T any] struct {
 // only).
 func (r *Ref[T]) PeekRef() *T { return r.v.Load() }
 
-// PokeRef sets the contents without charging a step (harness use only).
-func (r *Ref[T]) PokeRef(p *T) {
-	r.v.Store(p)
-	r.ver.Add(1)
-	r.stamp.Store(refStamps.Add(1))
-}
-
 // Version returns the number of writes the register has absorbed.
 func (r *Ref[T]) Version() uint64 { return r.ver.Load() }
 

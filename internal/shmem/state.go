@@ -39,9 +39,6 @@ type CellState struct {
 // Version returns the captured write-version.
 func (s CellState) Version() uint64 { return s.ver }
 
-// Word returns the captured scalar word (Reg cells; 0 for Ref cells).
-func (s CellState) Word() int64 { return s.word }
-
 // StateCell is implemented by every register type (*Reg, *Ref[T]): the
 // capture/restore/hash surface a checkpointing scheduler drives through the
 // register identities it observes in Intents.
@@ -177,9 +174,6 @@ func (p *Proc) ReadWord(i int) (int64, bool) {
 	r := p.readLog[i]
 	return r.word, r.isRef
 }
-
-// Replaying reports whether the handle is in catch-up replay.
-func (p *Proc) Replaying() bool { return p.rp.active }
 
 // foldRead mixes one read into the two read-history hash channels.
 func (p *Proc) foldRead(word uint64) {
