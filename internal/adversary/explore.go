@@ -274,8 +274,8 @@ func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}) cellRe
 	// one goroutine), so instance construction itself stays parallel on the
 	// seeded fast path. Stateful strategies (source DPOR) search one
 	// persistent system through checkpoint/restore: every run maps to the
-	// run-0 capture, which lives for the whole cell and is reset — not
-	// rebuilt — between executions.
+	// run-0 capture, which lives for the whole cell and is restored — not
+	// rebuilt — between executions (each lane clears its own outcome slot).
 	_, fanned := strat.(explore.Independent)
 	_, stateful := strat.(explore.Stateful)
 	var mu sync.Mutex
@@ -350,13 +350,10 @@ func exploreCell(spec *Spec, fam Family, n int, seen map[uint64]struct{}) cellRe
 		Body: func(run int) sched.Body {
 			c := capOf(run)
 			return func(p *shmem.Proc) {
+				// Zero the slot first: a stateful restore respawns this body
+				// and nothing else clears an abandoned branch's outcome.
+				c.got[p.ID()], c.oks[p.ID()] = 0, false
 				c.got[p.ID()], c.oks[p.ID()] = c.r.Rename(p, p.Name())
-			}
-		},
-		Reset: func() {
-			c := capOf(0)
-			for i := range c.got {
-				c.got[i], c.oks[i] = 0, false
 			}
 		},
 		OnResult: func(run int, tr sched.Trace, res sched.Result) bool {

@@ -79,8 +79,9 @@ type Stats struct {
 	// DPOR) reconstruct by checkpoint restore instead and always report 0.
 	Replayed int
 	// Restored counts checkpoint restores performed by stateful strategies —
-	// the rewind (undo-log walk + handoff-free parallel catch-up) that
-	// replaces each Replayed prefix re-execution.
+	// the rewind that replaces each Replayed prefix re-execution: memory
+	// back to the capture, then catch-up replay of the processes (on the
+	// goroutine engine every one, on vexec only the lanes that moved).
 	Restored int
 	// Pruned counts enabled choices the strategy skipped because partial-order
 	// reasoning (sleep sets, backtrack sets) showed them redundant.
@@ -143,13 +144,11 @@ type Independent interface {
 // fresh instance and replaying the choice prefix per execution. Drive builds
 // the engine once — from run 0's body (or frame factory) — with state capture
 // enabled, and calls BacktrackState in place of Backtrack at the end of every
-// execution: the strategy restores the engine to its next frontier node
-// (passing reset through to Restore so the caller can clear body-external
-// capture arrays before the catch-up) and returns false when the search is
-// exhausted.
+// execution: the strategy restores the engine to its next frontier node and
+// returns false when the search is exhausted.
 type Stateful interface {
 	Strategy
-	BacktrackState(e sched.StateEngine, t sched.Trace, res sched.Result, reset func()) bool
+	BacktrackState(e sched.StateEngine, t sched.Trace, res sched.Result) bool
 }
 
 // Seeder is implemented by strategies that dictate the instance seed of each
@@ -195,7 +194,10 @@ type Config struct {
 	Names func(run int) []int64
 	// Body builds a fresh, deterministic body for execution run. Tree
 	// strategies re-execute the same system many times, so Body must return
-	// an equivalent fresh instance every call for a fixed run seed.
+	// an equivalent fresh instance every call for a fixed run seed. A body
+	// that records its outcome outside itself must clear its own slot when
+	// it starts (vexec.Capture does so for frames): a stateful strategy's
+	// Restore rewinds lanes in place, and nothing else resets that slot.
 	Body func(run int) sched.Body
 	// Frame, when non-nil, is the vectorized form of Body: a frame-automaton
 	// root factory for execution run, over a fresh instance equivalent to
@@ -219,11 +221,6 @@ type Config struct {
 	// only valid during the call, and a callback that retains it (to report a
 	// violation, say) must copy it first.
 	OnResult func(run int, t sched.Trace, res sched.Result) bool
-	// Reset clears body-external per-execution capture (outcome arrays the
-	// body writes into) before a stateful strategy's restore respawns the
-	// processes. Stateless strategies never call it — they rebuild via
-	// Body(run) instead. nil is fine when the body captures nothing.
-	Reset func()
 }
 
 func (cfg *Config) names(run int) []int64 {
@@ -400,7 +397,7 @@ func driveStateful(s Stateful, cfg Config) Stats {
 			break
 		}
 		run++
-		if !s.BacktrackState(e, t, res, cfg.Reset) {
+		if !s.BacktrackState(e, t, res) {
 			break
 		}
 	}

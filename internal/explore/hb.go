@@ -169,9 +169,6 @@ func (h *hbState) extend(tr sched.Trace) {
 	if h.n > L {
 		panic(fmt.Sprintf("explore: happens-before layer holds %d events but the trace has %d — truncate missed a backtrack", h.n, L))
 	}
-	if h.regKey == nil {
-		h.regKey = make(map[any]int32)
-	}
 	h.assertPrefix(tr)
 	h.grow(L)
 	for j := h.n; j < L; j++ {
@@ -192,11 +189,7 @@ func (h *hbState) extend(tr sched.Trace) {
 			// Crashes and restarts touch no register: program order only.
 			h.keys[j], h.writes[j], h.prevW[j] = -1, false, -1
 		} else {
-			k, ok := h.regKey[e.Reg]
-			if !ok {
-				k = int32(len(h.regKey))
-				h.regKey[e.Reg] = k
-			}
+			k := h.intern(e.Reg)
 			for int(k) >= len(h.acc) {
 				h.acc = append(h.acc, nil)
 				h.lastW = append(h.lastW, -1)
@@ -228,6 +221,23 @@ func (h *hbState) extend(tr sched.Trace) {
 		h.lastEvt[pid] = int32(j)
 	}
 	h.n = L
+}
+
+// intern returns reg's dense key, assigning the next one on first sight. The
+// table lives as long as the walk, so a key names one register for good: the
+// dedup footprints (footKey) share it with the relation's columns. Keys may
+// be interned before their first trace event — extend sizes the per-register
+// frontiers by key, not by arrival order.
+func (h *hbState) intern(reg any) int32 {
+	if h.regKey == nil {
+		h.regKey = make(map[any]int32)
+	}
+	k, ok := h.regKey[reg]
+	if !ok {
+		k = int32(len(h.regKey))
+		h.regKey[reg] = k
+	}
+	return k
 }
 
 // assertPrefix is the cross-reset differential guard: the suffix contract

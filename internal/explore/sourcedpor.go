@@ -24,9 +24,11 @@ import (
 //     representative per Mazurkiewicz trace.
 //
 //   - Each node carries the engine's checkpoint (sched.ExecState);
-//     backtracking restores it in O(changes since the node) rather than
-//     re-executing the O(depth) prefix, so Stats.Replayed is zero by
-//     construction and Stats.Restored counts the restores.
+//     backtracking restores it — registers back to the capture, processes
+//     caught up locally from their read logs (on vexec, only the lanes that
+//     moved since the node) — rather than re-executing the O(depth) prefix,
+//     so Stats.Replayed is zero by construction and Stats.Restored counts
+//     the restores.
 //
 //   - Nodes whose complete state (registers + every process's read-history
 //     hash) was already exhaustively explored are cut (Stats.Deduped).
@@ -49,7 +51,9 @@ type SourceDPOR struct {
 	resumeAt  int // frame whose freshly picked choice executes next; -1 none
 	abandoned bool
 	rootPin   *Choice
-	table     map[[2]uint64][]closedRec
+	table     map[[2]uint64]recSpan // state key -> its closed records in recs
+	recs      []closedRec           // every closed record, chained per state
+	feet      []footKey             // closed footprints, back to back
 	race      RaceAnalysis
 	hb        hbState     // incremental happens-before layer (RaceIncremental)
 	scratch   raceScratch // from-scratch reference (RaceRebuild)
@@ -68,31 +72,47 @@ type sframe struct {
 	sleepStep     uint64
 	sleepCrash    uint64
 	sleepRestart  uint64
-	restartBudget int // remaining global restarts at node entry (dedup mode)
+	restartBudget int     // remaining global restarts at node entry (dedup mode)
+	chosenKey     footKey // the chosen access (dedup mode, register steps only)
 	foot          map[footKey]struct{}
 }
 
 // footKey identifies one kind of register access occurring in a subtree:
-// which process performed which operation on which register. Crashes touch
-// no register and commute with everything, so they never enter a footprint.
-type footKey struct {
-	reg  any
-	kind shmem.OpKind
-	pid  int
+// which process performed which operation on which register, packed as
+// reg<<16 | kind<<8 | pid with reg the walk's dense register key
+// (hbState.intern). It holds no pointer, so neither do the footprint sets
+// and the closed-record table: the garbage collector never scans them.
+// Crashes touch no register and commute with everything, so they never enter
+// a footprint.
+type footKey uint64
+
+func newFootKey(reg int32, kind shmem.OpKind, pid int) footKey {
+	return footKey(uint64(reg)<<16 | uint64(kind)<<8 | uint64(pid))
 }
+
+func (k footKey) reg() int32         { return int32(k >> 16) }
+func (k footKey) kind() shmem.OpKind { return shmem.OpKind(k >> 8) }
+func (k footKey) pid() int           { return int(k & 0xff) }
 
 // closedRec is one fully explored state: everything reachable from it
 // (outside its sleep set, within its crash budget) has been executed and
 // checked. A later visit to the same state may be cut if its obligations
-// are covered — see matches.
+// are covered — see matches. Its footprint is the window feet[foot:footEnd]
+// of the walk's arena, and next chains the records of one state in closing
+// order (-1 ends the chain).
 type closedRec struct {
 	sleepStep     uint64
 	sleepCrash    uint64
 	sleepRestart  uint64
-	crashBudget   int
-	restartBudget int
-	foot          map[footKey]struct{}
+	crashBudget   int32
+	restartBudget int32
+	foot, footEnd int32
+	next          int32
 }
+
+// recSpan is a state's chain of closed records: indices into recs of the
+// first and the last.
+type recSpan struct{ first, last int32 }
 
 // matches reports whether the record's coverage subsumes a revisit carrying
 // the given sleep masks and remaining fault budgets: the record explored
@@ -104,7 +124,7 @@ type closedRec struct {
 func (r *closedRec) matches(sleepStep, sleepCrash, sleepRestart uint64, crashBudget, restartBudget int) bool {
 	return r.sleepStep&^sleepStep == 0 && r.sleepCrash&^sleepCrash == 0 &&
 		r.sleepRestart&^sleepRestart == 0 &&
-		r.crashBudget >= crashBudget && r.restartBudget >= restartBudget
+		int(r.crashBudget) >= crashBudget && int(r.restartBudget) >= restartBudget
 }
 
 // NewSourceDPOR returns the stateful source-set DPOR strategy. budget caps
@@ -119,7 +139,7 @@ func NewSourceDPOR(seed uint64, budget, maxCrashes int) *SourceDPOR {
 		maxCrashes: maxCrashes,
 		dedup:      true,
 		resumeAt:   -1,
-		table:      make(map[[2]uint64][]closedRec),
+		table:      make(map[[2]uint64]recSpan),
 	}
 }
 
@@ -215,11 +235,11 @@ func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 	if t.dedup && len(t.stack) > 0 {
 		key := c.StateHash()
 		f.restartBudget = c.Model().MaxRestarts - c.Restarts()
-		if recs, ok := t.table[key]; ok {
+		if span, ok := t.table[key]; ok {
 			budget := t.maxCrashes - f.crashesBefore
-			for i := range recs {
-				if recs[i].matches(f.sleepStep, f.sleepCrash, f.sleepRestart, budget, f.restartBudget) {
-					t.coverDedup(&recs[i])
+			for i := span.first; i >= 0; i = t.recs[i].next {
+				if t.recs[i].matches(f.sleepStep, f.sleepCrash, f.sleepRestart, budget, f.restartBudget) {
+					t.coverDedup(&t.recs[i])
 					t.stats.Deduped++
 					t.abandoned = true
 					return Abandon
@@ -278,7 +298,8 @@ func (t *SourceDPOR) commit(c sched.Engine, f *sframe) {
 		if f.foot == nil {
 			f.foot = make(map[footKey]struct{})
 		}
-		f.foot[footKey{reg: f.chosenIn.Reg, kind: f.chosenIn.Kind, pid: f.chosen.Pid}] = struct{}{}
+		f.chosenKey = newFootKey(t.hb.intern(f.chosenIn.Reg), f.chosenIn.Kind, f.chosen.Pid)
+		f.foot[f.chosenKey] = struct{}{}
 	}
 	t.stats.Explored++
 }
@@ -287,7 +308,7 @@ func (t *SourceDPOR) commit(c sched.Engine, f *sframe) {
 // into the backtrack sets, close and pop exhausted frames (recording their
 // states in the dedup table), and restore the engine to the deepest frame
 // with an unexplored scheduled choice.
-func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sched.Result, reset func()) bool {
+func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sched.Result) bool {
 	if t.abandoned {
 		t.abandoned = false
 		t.stats.Partial++
@@ -313,7 +334,7 @@ func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sch
 			continue
 		}
 		t.stack = t.stack[:i+1]
-		c.Restore(f.snap, reset)
+		c.Restore(f.snap)
 		t.stats.Restored++
 		if t.race != RaceRebuild {
 			// Frame i's checkpoint was taken at trace length i, and Restore
@@ -334,23 +355,36 @@ func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sch
 	return false
 }
 
-// closeFrame records a fully explored frame's state as closed and folds its
-// subtree footprint into its parent's.
+// closeFrame records a fully explored frame's state as closed — appending
+// its footprint to the arena — and folds the footprint into its parent's.
 func (t *SourceDPOR) closeFrame(i int) {
 	if !t.dedup {
 		return
 	}
 	f := &t.stack[i]
 	if i > 0 {
-		t.table[f.key] = append(t.table[f.key], closedRec{
+		id := int32(len(t.recs))
+		rec := closedRec{
 			sleepStep:     f.sleepStep,
 			sleepCrash:    f.sleepCrash,
 			sleepRestart:  f.sleepRestart,
-			crashBudget:   t.maxCrashes - f.crashesBefore,
-			restartBudget: f.restartBudget,
-			foot:          f.foot,
-		})
-		mergeFoot(&t.stack[i-1], f.foot)
+			crashBudget:   int32(t.maxCrashes - f.crashesBefore),
+			restartBudget: int32(f.restartBudget),
+			foot:          int32(len(t.feet)),
+			next:          -1,
+		}
+		for k := range f.foot {
+			t.feet = append(t.feet, k)
+		}
+		rec.footEnd = int32(len(t.feet))
+		t.recs = append(t.recs, rec)
+		if span, ok := t.table[f.key]; ok {
+			t.recs[span.last].next = id
+			t.table[f.key] = recSpan{first: span.first, last: id}
+		} else {
+			t.table[f.key] = recSpan{first: id, last: id}
+		}
+		mergeFoot(&t.stack[i-1], t.feet[rec.foot:rec.footEnd])
 	}
 }
 
@@ -360,6 +394,7 @@ func (t *SourceDPOR) closeFrame(i int) {
 // subtree's own race analysis would have added), and the footprint is
 // credited to the cut point's parent so enclosing subtrees stay complete.
 func (t *SourceDPOR) coverDedup(rec *closedRec) {
+	foot := t.feet[rec.foot:rec.footEnd]
 	for i := range t.stack {
 		if t.rootPin != nil && i == 0 {
 			continue
@@ -368,32 +403,33 @@ func (t *SourceDPOR) coverDedup(rec *closedRec) {
 		if f.chosen.Crash || f.chosen.Restart || f.chosen.Pid < 0 {
 			continue
 		}
-		for fe := range rec.foot {
-			if fe.pid == f.chosen.Pid {
+		ck := f.chosenKey
+		for _, fe := range foot {
+			if fe.pid() == f.chosen.Pid {
 				continue
 			}
-			if f.chosenIn.Reg != fe.reg || (f.chosenIn.Kind == shmem.OpRead && fe.kind == shmem.OpRead) {
+			if ck.reg() != fe.reg() || (ck.kind() == shmem.OpRead && fe.kind() == shmem.OpRead) {
 				continue // commuting accesses: no race
 			}
-			if bit := uint64(1) << uint(fe.pid); f.enabled&bit != 0 {
+			if bit := uint64(1) << uint(fe.pid()); f.enabled&bit != 0 {
 				f.btStep |= bit
 			} else {
 				f.btStep |= f.enabled
 			}
 		}
 	}
-	mergeFoot(&t.stack[len(t.stack)-1], rec.foot)
+	mergeFoot(&t.stack[len(t.stack)-1], foot)
 }
 
 // mergeFoot unions src into dst's subtree footprint.
-func mergeFoot(dst *sframe, src map[footKey]struct{}) {
+func mergeFoot(dst *sframe, src []footKey) {
 	if len(src) == 0 {
 		return
 	}
 	if dst.foot == nil {
 		dst.foot = make(map[footKey]struct{}, len(src))
 	}
-	for k := range src {
+	for _, k := range src {
 		dst.foot[k] = struct{}{}
 	}
 }

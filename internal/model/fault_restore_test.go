@@ -113,7 +113,7 @@ func runFaultRestoreEquivalence(t *testing.T, tc conformance.Case, n int, m shme
 
 	// System 1: random faulty prefix, checkpoint, divergent continuation,
 	// restore.
-	c1, got1, reset1 := pair.snap(tc, n, seed, m)
+	c1, got1 := pair.snap(tc, n, seed, m)
 	c1.EnableTrace()
 	rng := xrand.New(xrand.Mix(seed, 0x5eed))
 	randDriveFault(c1, rng, 3+int(seed%11), n-1)
@@ -123,7 +123,7 @@ func runFaultRestoreEquivalence(t *testing.T, tc conformance.Case, n int, m shme
 	wantFP := c1.Fingerprint()
 	wantRestarts := c1.Restarts()
 	randDriveFault(c1, xrand.New(xrand.Mix(seed, 0xd1f)), 1<<20, n-1)
-	c1.Restore(snap, reset1)
+	c1.Restore(snap)
 
 	if got := c1.StateHash(); got != wantHash {
 		t.Fatalf("seed %#x: restore hash %x != checkpoint hash %x", seed, got, wantHash)
@@ -137,7 +137,7 @@ func runFaultRestoreEquivalence(t *testing.T, tc conformance.Case, n int, m shme
 
 	// System 2: a fresh identical instance, prefix reconstructed by replay of
 	// the trace — including its crash, restart and stale-read events.
-	c2, got2, _ := pair.replay(tc, n, seed, m)
+	c2, got2 := pair.replay(tc, n, seed, m)
 	c2.EnableTrace()
 	if err := c2.ApplyTrace(prefix); err != nil {
 		t.Fatalf("seed %#x: replay: %v", seed, err)

@@ -261,14 +261,12 @@ type instance struct {
 	oks     []bool
 }
 
-func (in *instance) reset() {
-	for i := range in.got {
-		in.got[i], in.oks[i] = 0, false
-	}
-}
-
+// body runs one process's rename into its outcome slot. The slot is zeroed
+// first, so a respawn (Restore's catch-up) never shows an abandoned branch's
+// outcome — a process crashed before finishing leaves it zero.
 func (in *instance) body() sched.Body {
 	return func(p *shmem.Proc) {
+		in.got[p.ID()], in.oks[p.ID()] = 0, false
 		in.got[p.ID()], in.oks[p.ID()] = in.renamer.Rename(p, p.Name())
 	}
 }
@@ -360,10 +358,8 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 					// Stateless walker: a fresh system per execution.
 					cur = fresh()
 				}
-				cur.reset()
 				return cur.body()
 			},
-			Reset: func() { cur.reset() }, // stateful walker: same system, rewound
 			OnResult: func(run int, t sched.Trace, res sched.Result) bool {
 				if v := checkRun(cur, t, res); v != nil {
 					vmu.Lock()
@@ -385,7 +381,6 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 				if run > 0 {
 					cur = fresh()
 				}
-				cur.reset()
 				return cur.frames()
 			}
 		}

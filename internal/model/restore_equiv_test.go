@@ -56,11 +56,11 @@ func TestRestoreEquivalentToReplay(t *testing.T) {
 // from the trace.
 type enginePair struct {
 	name   string
-	snap   func(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func())
-	replay func(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func())
+	snap   func(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64)
+	replay func(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64)
 }
 
-func mkGoroutine(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func()) {
+func mkGoroutine(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64) {
 	r := tc.New(n, seed)
 	got := make([]int64, n)
 	c := sched.NewController(n, tc.Origs(n, seed), func(p *shmem.Proc) {
@@ -74,12 +74,12 @@ func mkGoroutine(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.
 		c.SetModel(m)
 	}
 	c.EnableState()
-	// The respawned bodies zero their own entries; an explicit reset is not
-	// needed but returned for signature uniformity with the vexec builder.
-	return c, got, func() { clear(got) }
+	// The respawned bodies zero their own entries, so a restore never shows
+	// an abandoned branch's outcome.
+	return c, got
 }
 
-func mkVexec(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64, func()) {
+func mkVexec(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.StateEngine, []int64) {
 	fr := tc.New(n, seed).(vexec.FrameRenamer)
 	got := make([]int64, n)
 	oks := make([]bool, n)
@@ -90,10 +90,9 @@ func mkVexec(tc conformance.Case, n int, seed uint64, m shmem.Model) (sched.Stat
 		e.SetModel(m)
 	}
 	e.EnableState()
-	// Capture writes a lane's outcome only at completion, so stale outcomes
-	// from an abandoned branch must be cleared at restore — the same
-	// Config.Reset contract the search drivers use.
-	return e, got, func() { clear(got); clear(oks) }
+	// Capture zeroes a lane's slot whenever the lane is re-rooted and writes
+	// it only at completion; a lane Restore skips keeps its captured outcome.
+	return e, got
 }
 
 // enginePairs returns the engine combinations to certify: both same-engine
@@ -136,7 +135,7 @@ func runRestoreEquivalence(t *testing.T, tc conformance.Case, n int, seed uint64
 	var m shmem.Model // the paper's: atomic registers, fail-stop
 
 	// System 1: random prefix, checkpoint, divergent continuation, restore.
-	c1, got1, reset1 := pair.snap(tc, n, seed, m)
+	c1, got1 := pair.snap(tc, n, seed, m)
 	c1.EnableTrace()
 	rng := xrand.New(xrand.Mix(seed, 0x5eed))
 	randDrive(c1, rng, 2+int(seed%9), 1)
@@ -145,7 +144,7 @@ func runRestoreEquivalence(t *testing.T, tc conformance.Case, n int, seed uint64
 	wantHash := c1.StateHash()
 	wantFP := c1.Fingerprint()
 	randDrive(c1, xrand.New(xrand.Mix(seed, 0xd1f)), 1<<20, n-1) // run the divergent branch to completion
-	c1.Restore(snap, reset1)
+	c1.Restore(snap)
 
 	if got := c1.StateHash(); got != wantHash {
 		t.Fatalf("seed %#x: restore hash %x != checkpoint hash %x", seed, got, wantHash)
@@ -155,7 +154,7 @@ func runRestoreEquivalence(t *testing.T, tc conformance.Case, n int, seed uint64
 	}
 
 	// System 2: a fresh identical instance, prefix reconstructed by replay.
-	c2, got2, _ := pair.replay(tc, n, seed, m)
+	c2, got2 := pair.replay(tc, n, seed, m)
 	c2.EnableTrace()
 	if err := c2.ApplyTrace(prefix); err != nil {
 		t.Fatalf("seed %#x: replay: %v", seed, err)

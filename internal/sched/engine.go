@@ -119,7 +119,7 @@ type StateEngine interface {
 	StateEnabled() bool
 	StateHash() [2]uint64
 	Checkpoint() ExecState
-	Restore(s ExecState, reset func())
+	Restore(s ExecState)
 }
 
 // The goroutine engine implements the full state-capable surface.

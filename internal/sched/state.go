@@ -256,15 +256,13 @@ func (c *Controller) Checkpoint() ExecState {
 
 // Restore rewinds the controller to a Snapshot taken earlier on the current
 // branch: it silently unwinds every live process goroutine, rewinds memory
-// through the undo log, truncates the trace and read logs, runs reset (if
-// non-nil — the caller's hook for clearing body-external capture arrays),
-// and respawns all processes in catch-up replay (local recomputation from
-// their read logs, concurrent across processes, no grants). On return the
-// controller is quiesced at the captured decision point: same pending set,
-// same posted intents, same StateHash, same Fingerprint. No scheduler grant
-// is re-executed; the Replayed accounting of stateless search collapses to
-// zero.
-func (c *Controller) Restore(st ExecState, reset func()) {
+// through the undo log, truncates the trace and read logs, and respawns all
+// processes in catch-up replay (local recomputation from their read logs,
+// concurrent across processes, no grants). On return the controller is
+// quiesced at the captured decision point: same pending set, same posted
+// intents, same StateHash, same Fingerprint. No scheduler grant is
+// re-executed; the Replayed accounting of stateless search collapses to zero.
+func (c *Controller) Restore(st ExecState) {
 	if !c.st.enabled {
 		panic("sched: Restore without EnableState")
 	}
@@ -307,9 +305,6 @@ func (c *Controller) Restore(st ExecState, reset func()) {
 		p.LoadState(s.procs[pid])
 		c.phase[pid] = phaseRunning
 		c.err[pid] = nil
-	}
-	if reset != nil {
-		reset()
 	}
 	c.active.Store(int32(c.n))
 	for pid := 0; pid < c.n; pid++ {

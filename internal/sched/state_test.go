@@ -18,6 +18,7 @@ type stateFixture struct {
 func newStateFixture(n int) *stateFixture { return &stateFixture{got: make([]int64, n)} }
 
 func (f *stateFixture) body(p *shmem.Proc) {
+	f.got[p.ID()] = 0 // a restore respawns the body: clear the slot it fills
 	p.Write(&f.a, int64(p.ID()+1))
 	v := p.Read(&f.a)
 	p.Write(&f.b, v+int64(p.ID()))
@@ -70,7 +71,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		drive(c, 1)
 	}
 
-	c.Restore(snap, nil)
+	c.Restore(snap)
 
 	if got := c.StateHash(); got != wantHash {
 		t.Fatalf("StateHash after restore %x, want %x", got, wantHash)
@@ -134,11 +135,7 @@ func TestRestoreContinuationMatchesReplay(t *testing.T) {
 	for c.PendingCount() > 0 {
 		c.Step(c.NextPending(-1))
 	}
-	c.Restore(snap, func() {
-		for i := range f.got {
-			f.got[i] = 0
-		}
-	})
+	c.Restore(snap)
 	// A fresh cursor behaves identically to the checkpoint-time cursor here:
 	// after 3 cyclic grants over 3 processes both wrap to the lowest pending
 	// pid. (Restore rewinds the controller, never the policy.)
@@ -177,7 +174,7 @@ func TestRestoreCrashedProcess(t *testing.T) {
 	for c.PendingCount() > 0 {
 		c.Step(c.NextPending(-1))
 	}
-	c.Restore(snap, nil)
+	c.Restore(snap)
 	if !c.Crashed(1) {
 		t.Fatal("crashed process resurrected by restore")
 	}
@@ -249,7 +246,7 @@ func TestRestoreRefRegisters(t *testing.T) {
 	want := ref.PeekRef()
 	c.Step(1) // p1 reads {11}
 	c.Step(1) // p1 writes {21}
-	c.Restore(snap, nil)
+	c.Restore(snap)
 	if ref.PeekRef() != want {
 		t.Fatalf("Ref pointer after restore %p, want %p", ref.PeekRef(), want)
 	}

@@ -157,6 +157,16 @@ func (p *Proc) LoadState(s ProcState) {
 	p.rp = replayState{active: true, crash: s.Crashed, target: s.Steps, reads: s.Reads, cur: s.IncBase}
 }
 
+// At reports whether the process stands at the captured position s: same
+// step count, read-log length, read-history hash and incarnation (s.Crashed
+// is the scheduler's flag and is not compared). Along one branch a process's
+// position only moves forward, so a process at s took no step and no restart
+// since the capture.
+func (p *Proc) At(s ProcState) bool {
+	return p.steps == s.Steps && len(p.readLog) == s.Reads && p.readHash == s.ReadHash &&
+		p.incBase == s.IncBase && p.baseSteps == s.BaseSteps && p.restarts == s.Restarts
+}
+
 // ReadHash returns the running hash of the process's read history — the
 // canonical fingerprint of its local state, since a deterministic body's
 // stack is a pure function of the values it has read. Two channels with

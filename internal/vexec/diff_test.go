@@ -319,10 +319,9 @@ func TestVexecReturned(t *testing.T) {
 func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.Model, trace sched.Trace, d int, wantState, onVexec bool) outcome {
 	t.Helper()
 	var (
-		e       sched.StateEngine
-		got     []int64
-		oks     []bool
-		myReset func()
+		e   sched.StateEngine
+		got []int64
+		oks []bool
 	)
 	if onVexec {
 		var ve *vexec.Exec
@@ -333,6 +332,10 @@ func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 		got = make([]int64, n)
 		oks = make([]bool, n)
 		ctl := sched.NewController(n, c.Origs(n, seed), func(p *shmem.Proc) {
+			// Clear the slot first: Restore respawns the body, and a lane
+			// crashed in the restored state must not keep the excursion's
+			// outcome.
+			got[p.ID()], oks[p.ID()] = 0, false
 			got[p.ID()], oks[p.ID()] = r.Rename(p, p.Name())
 		})
 		if !m.Atomic() {
@@ -340,7 +343,6 @@ func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 		}
 		e = ctl
 	}
-	myReset = func() { clear(got); clear(oks) }
 	e.EnableState()
 	e.EnableTrace()
 	if err := e.ApplyTrace(trace[:d]); err != nil {
@@ -355,7 +357,7 @@ func driveDetour(t *testing.T, c conformance.Case, n int, seed uint64, m shmem.M
 	// Divergent excursion: run the rest of the execution under an unrelated
 	// schedule, then rewind as if it never happened.
 	sched.DriveEngine(e, sched.NewRandom(xrand.Mix(seed, 0xde70)), nil)
-	e.Restore(snap, myReset)
+	e.Restore(snap)
 	if e.Fingerprint() != wantFP {
 		t.Fatalf("detour restore (d=%d): fingerprint %#x != checkpoint %#x", d, e.Fingerprint(), wantFP)
 	}

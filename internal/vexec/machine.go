@@ -121,8 +121,12 @@ type captureFrame struct {
 }
 
 // Capture wraps a root frame so its result lands in *got and *ok when the
-// lane finishes.
+// lane finishes. Building it zeroes the slot: a lane's slot then always holds
+// its current root's outcome (zero until it finishes), so a re-rooted lane
+// never shows an abandoned branch's result and a lane Restore skips keeps
+// its own.
 func Capture(child Frame, got *int64, ok *bool) Frame {
+	*got, *ok = 0, false
 	return &captureFrame{child: child, got: got, ok: ok}
 }
 

@@ -14,10 +14,12 @@ import (
 // Snapshot is a struct copy: the CellState of every registered register plus
 // each lane's ProcState and phase. There is no undo log — restoring loads the
 // captured cell states outright (cells first written after the capture rewind
-// to the pre-image taken at registration) — and no goroutine respawn: the
-// only per-lane work is re-rooting the frame stack and replaying the lane's
-// current incarnation from its read log, the same handoff-free catch-up the
-// goroutine engine runs, minus the goroutines.
+// to the pre-image taken at registration) — and no goroutine respawn. Only a
+// lane that moved since the capture does per-lane work: its frame stack is
+// re-rooted and its current incarnation replayed from its read log, the same
+// handoff-free catch-up the goroutine engine runs, minus the goroutines. A
+// lane standing at its captured position (same phase, same ProcState) is
+// already in its captured state and keeps its frames and posted intent.
 //
 // The catch-up reuses the grant budget of advance(): a replaying lane's reads
 // consume the log (shmem replay mode) and its writes are suppressed, so
@@ -126,12 +128,20 @@ func (e *Exec) ReleaseState(st sched.ExecState) {
 
 // Restore rewinds the engine to a Snapshot taken earlier on the current
 // branch: registered cells load their captured states (cells registered
-// since rewind to their registration pre-image), bookkeeping rolls back,
-// reset (if non-nil) clears the caller's body-external capture arrays, and
-// every lane is re-rooted and caught up from its read log. On return the
-// engine is at the captured decision point: same pending set, same posted
-// intents, same StateHash, same Fingerprint. No grant is re-executed.
-func (e *Exec) Restore(st sched.ExecState, reset func()) {
+// since rewind to their registration pre-image), bookkeeping rolls back, and
+// every lane that moved since the capture is re-rooted and caught up from its
+// read log. On return the engine is at the captured decision point: same
+// pending set, same posted intents, same StateHash, same Fingerprint. No
+// grant is re-executed.
+//
+// A lane whose phase and ProcState equal the capture's is skipped: snapshots
+// form a stack, so the engine stands on a descendant of the target, and every
+// grant, crash or Restart of a lane since then changed its step count, phase
+// or restart count. Equal position therefore means untouched — the lane's
+// frame stack, posted intent and outcome slot are already the captured ones,
+// and only its pending bit is re-set. A backtrack of a few decisions thus
+// costs the lanes those decisions moved, not all n.
+func (e *Exec) Restore(st sched.ExecState) {
 	if !e.st.enabled {
 		panic("vexec: Restore without EnableState")
 	}
@@ -176,11 +186,13 @@ func (e *Exec) Restore(st sched.ExecState, reset func()) {
 		e.pbits[i] = 0
 	}
 	e.npending = 0
-	if reset != nil {
-		reset()
-	}
-	for pid := 0; pid < e.n; pid++ {
-		e.catchUp(pid, s.procs[pid], s.phase[pid])
+	for pid, p := range e.procs {
+		if e.phase[pid] != s.phase[pid] || !p.At(s.procs[pid]) {
+			e.catchUp(pid, s.procs[pid], s.phase[pid])
+		} else if e.phase[pid] == phasePending {
+			e.pbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
+			e.npending++
+		}
 	}
 }
 
