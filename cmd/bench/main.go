@@ -58,8 +58,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/adversary"
@@ -177,31 +175,6 @@ type FaultCheckEntry struct {
 	Complete   bool    `json:"complete"`
 }
 
-// ParallelEntry records one model-check fixture run of the parallel-drive
-// sweep: the stateful source-DPOR engine at each -workers setting, next to
-// the stateless sleep-set engine at one worker — the restore-versus-replay
-// economics and the root-shard fan-out on one table. Workers records the
-// requested fan-out; when it exceeds runtime.GOMAXPROCS(0) the run is
-// executed at the hardware's width and the row carries hw_limited: true, so
-// a flat speedup curve reads as "no cores left", not "the fan-out is broken".
-type ParallelEntry struct {
-	Fixture            string  `json:"fixture"`
-	N                  int     `json:"n"`
-	MaxCrashes         int     `json:"max_crashes"`
-	Engine             string  `json:"engine"`
-	Workers            int     `json:"workers"`
-	HwLimited          bool    `json:"hw_limited,omitempty"`
-	Executions         int     `json:"executions"`
-	Explored           int     `json:"states_explored"`
-	Replayed           int     `json:"states_replayed"`
-	Restored           int     `json:"states_restored"`
-	Deduped            int     `json:"states_deduped"`
-	WallMs             float64 `json:"wall_ms"`
-	Complete           bool    `json:"complete"`
-	SpeedupVsSeq       float64 `json:"speedup_vs_workers1,omitempty"`
-	SpeedupVsStateless float64 `json:"speedup_vs_stateless,omitempty"`
-}
-
 // EngineCheckEntry is one complete model-check walk driven to exhaustion on
 // both execution engines — the engine-swap economics at the proof layer. The
 // walker visits the identical tree either way (every count is cross-checked
@@ -311,7 +284,6 @@ type Report struct {
 	Churn      []ChurnEntry       `json:"churn"`
 	Adversary  []AdversaryEntry   `json:"adversary,omitempty"`
 	Strategies []StrategyEntry    `json:"strategies,omitempty"`
-	Parallel   []ParallelEntry    `json:"parallel_drive,omitempty"`
 }
 
 func mallocs() uint64 {
@@ -726,98 +698,6 @@ func runStrategies(runs int) []StrategyEntry {
 	return out
 }
 
-// runParallel is the restore-and-fan-out sweep: complete model-check walks
-// of conformance fixtures under (a) the stateless sleep-set engine — every
-// backtrack paying an O(depth) prefix replay — and (b) the stateful
-// source-DPOR engine at each -workers setting, where backtracks restore
-// checkpoints (states_replayed is zero by construction) and root subtrees
-// fan across workers. Speedups are reported against the same engine at one
-// worker (the parallel claim) and against the stateless walk (the
-// restore-versus-replay claim). Wall-clock parallelism is bounded by the
-// hardware: single-core machines will show ~1x worker scaling while the
-// GOMAXPROCS field says why.
-func runParallel(workersList []int, quick bool) []ParallelEntry {
-	type fixture struct {
-		name       string
-		n          int
-		maxCrashes int
-	}
-	fixtures := []fixture{{"majority", 3, 0}, {"adaptive", 2, 0}, {"polylog", 4, 3}, {"adaptive", 2, 1}}
-	if quick {
-		fixtures = []fixture{{"majority", 3, 0}, {"majority", 3, 2}}
-	}
-	byName := map[string]conformance.Case{}
-	for _, tc := range conformance.Cases() {
-		byName[tc.Name] = tc
-	}
-	var out []ParallelEntry
-	maxWorkers := runtime.GOMAXPROCS(0)
-	for _, fx := range fixtures {
-		tc, n := byName[fx.name], fx.n
-		run := func(walker model.Walker, workers int) ParallelEntry {
-			// A fan-out wider than the hardware cannot scale; run at the
-			// hardware's width and mark the row instead of recording a
-			// misleading ~1x curve against phantom cores.
-			actual := workers
-			if actual > maxWorkers {
-				actual = maxWorkers
-			}
-			rep := model.Check(tc.Name,
-				func() check.Renamer { return tc.New(n, 1) },
-				n, tc.Origs(n, 1), tc.Suite(n, "model"),
-				// Pinned to the goroutine oracle: these rows measure walker
-				// and fan-out economics; the engine-swap win has its own
-				// suite section (model_engines).
-				model.Options{MaxCrashes: fx.maxCrashes, Walker: walker, Engine: model.EngineGoroutine, Workers: actual})
-			if rep.Violation != nil {
-				fmt.Fprintf(os.Stderr, "bench: parallel fixture %s n=%d VIOLATED: %v\n", tc.Name, n, rep.Violation)
-				os.Exit(1)
-			}
-			if !rep.Complete {
-				fmt.Fprintf(os.Stderr, "bench: parallel fixture %s n=%d did not exhaust; pick a smaller fixture\n", tc.Name, n)
-				os.Exit(1)
-			}
-			return ParallelEntry{
-				Fixture: tc.Name, N: n, MaxCrashes: fx.maxCrashes,
-				Engine: walker.String(), Workers: workers,
-				HwLimited:  workers > maxWorkers,
-				Executions: rep.Executions, Explored: rep.Explored,
-				Replayed: rep.Replayed, Restored: rep.Restored, Deduped: rep.Deduped,
-				WallMs: float64(rep.Elapsed.Microseconds()) / 1e3, Complete: rep.Complete,
-			}
-		}
-		stateless := run(model.WalkerSleepSet, 1)
-		out = append(out, stateless)
-		// The scaling baseline is the 1-worker entry, resolved after the
-		// sweep so the -workers order cannot matter; with a list that omits
-		// 1, the speedup-vs-sequential column would be a lie and is left
-		// unset.
-		sweep := make([]ParallelEntry, 0, len(workersList))
-		var seq ParallelEntry
-		for _, w := range workersList {
-			e := run(model.WalkerSourceDPOR, w)
-			if w == 1 {
-				seq = e
-			}
-			sweep = append(sweep, e)
-		}
-		for _, e := range sweep {
-			if seq.WallMs > 0 {
-				e.SpeedupVsSeq = seq.WallMs / e.WallMs
-			}
-			if stateless.WallMs > 0 {
-				e.SpeedupVsStateless = stateless.WallMs / e.WallMs
-			}
-			out = append(out, e)
-			fmt.Fprintf(os.Stderr,
-				"parallel %-10s n=%d x%d workers: %8.1fms  %7d explored  %6d restored  %6d replayed  (%.2fx vs 1 worker, %.2fx vs stateless %.1fms/%d replayed)\n",
-				tc.Name, n, e.Workers, e.WallMs, e.Explored, e.Restored, e.Replayed,
-				e.SpeedupVsSeq, e.SpeedupVsStateless, stateless.WallMs, stateless.Replayed)
-		}
-	}
-	return out
-}
-
 // runFaultStep measures the free-running grant path under each fault model
 // on a mixed read/write workload (odd pids write, even pids read — so the
 // weak-register rows actually exercise stale-window recording on every
@@ -1217,20 +1097,7 @@ func main() {
 	quick := flag.Bool("quick", false, "small grid for CI smoke runs")
 	runs := flag.Int("runs", 3, "driven executions per grid configuration")
 	adversarial := flag.Bool("adversary", false, "sweep every adversary family per algorithm, recording worst-case observed steps vs the paper bound, plus the search-strategy comparison")
-	workers := flag.String("workers", "1,2,4", "comma-separated worker counts for the parallel model-check drive sweep")
 	flag.Parse()
-	var workersList []int
-	for _, f := range strings.Split(*workers, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || w < 1 {
-			fmt.Fprintf(os.Stderr, "bench: bad -workers entry %q\n", f)
-			os.Exit(2)
-		}
-		if max := runtime.GOMAXPROCS(0); w > max {
-			fmt.Fprintf(os.Stderr, "bench: -workers %d exceeds GOMAXPROCS %d; running at %d and marking those rows hw_limited\n", w, max, max)
-		}
-		workersList = append(workersList, w)
-	}
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "bench: -out is required (e.g. -out BENCH_PR3.json, or '-' for stdout)")
 		flag.Usage()
@@ -1301,7 +1168,6 @@ func main() {
 		}
 		rep.Adversary = runAdversary(sizes, advRuns)
 		rep.Strategies = runStrategies(stratRuns)
-		rep.Parallel = runParallel(workersList, *quick)
 	}
 
 	enc, err := json.MarshalIndent(rep, "", "  ")

@@ -34,7 +34,6 @@ type Tree struct {
 	stack     []frame
 	pos       int // replay cursor: next stack index to re-apply
 	abandoned bool
-	rootPin   *Choice // restrict the search to one root decision (sharding)
 	stats     Stats
 }
 
@@ -91,11 +90,6 @@ func NewSleepSet(seed uint64, budget, maxCrashes int) *Tree {
 
 // Name implements Strategy.
 func (t *Tree) Name() string { return "sleepset" }
-
-// PinRoot restricts the search to the subtree under one root decision, for
-// sharding a tree across DriveParallel workers: every enabled root choice is
-// some worker's pin, so the union of the shards covers the tree.
-func (t *Tree) PinRoot(ch Choice) { t.rootPin = &ch }
 
 // RunSeed implements Seeder: tree searches explore the schedules of one
 // deterministic system, so every execution rebuilds from the same seed.
@@ -172,24 +166,9 @@ func (t *Tree) Next(e sched.Engine) Choice {
 			t.stats.Pruned++
 		}
 	}
-	switch {
-	case t.rootPin != nil && t.pos == 0:
-		bit := uint64(1) << uint(t.rootPin.Pid)
-		f.btStep, f.btCrash, f.btRestart = 0, 0, 0
-		f.haltBt = false
-		switch {
-		case t.rootPin.Restart:
-			f.btRestart = bit & f.restartable
-		case t.rootPin.Crash:
-			f.btCrash = bit & f.enabled
-		default:
-			f.btStep = bit & f.enabled
-		}
-	default:
-		f.btStep = f.enabled
-		if t.maxCrashes > 0 && f.crashesBefore < t.maxCrashes {
-			f.btCrash = f.enabled
-		}
+	f.btStep = f.enabled
+	if t.maxCrashes > 0 && f.crashesBefore < t.maxCrashes {
+		f.btCrash = f.enabled
 	}
 	if !pickNext(&f) {
 		// Every scheduled transition is asleep: this whole subtree reorders

@@ -50,7 +50,6 @@ type SourceDPOR struct {
 	stack     []sframe
 	resumeAt  int // frame whose freshly picked choice executes next; -1 none
 	abandoned bool
-	rootPin   *Choice
 	table     map[[2]uint64]recSpan // state key -> its closed records in recs
 	recs      []closedRec           // every closed record, chained per state
 	feet      []footKey             // closed footprints, back to back
@@ -160,13 +159,6 @@ func (t *SourceDPOR) SetRaceAnalysis(m RaceAnalysis) *SourceDPOR {
 	return t
 }
 
-// PinRoot restricts the search to the subtree under one root decision, for
-// sharding a tree across DriveParallel workers: every enabled root choice is
-// some worker's pin, so the union of the shards covers the tree. Races that
-// would schedule other root choices are dropped locally — the partition
-// already owns them.
-func (t *SourceDPOR) PinRoot(ch Choice) { t.rootPin = &ch }
-
 // Name implements Strategy.
 func (t *SourceDPOR) Name() string { return "sourcedpor" }
 
@@ -248,28 +240,14 @@ func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 		}
 		f.key = key
 	}
-	if t.rootPin != nil && len(t.stack) == 0 {
-		bit := uint64(1) << uint(t.rootPin.Pid)
-		f.btRestart = 0
-		f.haltBt = false
-		switch {
-		case t.rootPin.Restart:
-			f.btRestart = bit & f.restartable
-		case t.rootPin.Crash:
-			f.btCrash = bit & f.enabled
-		default:
-			f.btStep = bit & f.enabled
-		}
-	} else {
-		// Source mode: the backtrack set starts with one arbitrary (lowest
-		// awake) enabled process; race analysis grows it. Crash branching is
-		// exhaustive within the budget.
-		if first := f.enabled &^ f.doneStep; first != 0 {
-			f.btStep = first & (-first)
-		}
-		if t.maxCrashes > 0 && f.crashesBefore < t.maxCrashes {
-			f.btCrash = f.enabled
-		}
+	// Source mode: the backtrack set starts with one arbitrary (lowest awake)
+	// enabled process; race analysis grows it. Crash branching is exhaustive
+	// within the budget.
+	if first := f.enabled &^ f.doneStep; first != 0 {
+		f.btStep = first & (-first)
+	}
+	if t.maxCrashes > 0 && f.crashesBefore < t.maxCrashes {
+		f.btCrash = f.enabled
 	}
 	if !pickNext(&f.frame) {
 		t.abandoned = true
@@ -396,9 +374,6 @@ func (t *SourceDPOR) closeFrame(i int) {
 func (t *SourceDPOR) coverDedup(rec *closedRec) {
 	foot := t.feet[rec.foot:rec.footEnd]
 	for i := range t.stack {
-		if t.rootPin != nil && i == 0 {
-			continue
-		}
 		f := &t.stack[i]
 		if f.chosen.Crash || f.chosen.Restart || f.chosen.Pid < 0 {
 			continue
@@ -653,9 +628,6 @@ func (t *SourceDPOR) scanRaces(tr sched.Trace, rel hbRel, from, L int) {
 // i. Events happening-after tr[i] are not in v — except tr[j] itself, which
 // is in v by construction.
 func (t *SourceDPOR) addSource(i, j int, tr sched.Trace, rel hbRel) {
-	if t.rootPin != nil && i == 0 {
-		return // root choices are owned by the shard partition
-	}
 	f := &t.stack[i]
 	inV := func(k int) bool { return k == j || !rowGet(rel.eventRow(k), i) }
 	var initials uint64

@@ -32,25 +32,22 @@ func TestEngineReportDifferential(t *testing.T) {
 		maxCrashes int
 		model      shmem.Model
 		walker     model.Walker
-		workers    int
 	}{
 		// The default stateful walker, crash-free and with full branching.
-		{"majority-n3-sourcedpor", "majority", 3, 0, shmem.Model{}, model.WalkerSourceDPOR, 1},
-		{"firstfit-n2-sourcedpor-crash1", "firstfit", 2, 1, shmem.Model{}, model.WalkerSourceDPOR, 1},
+		{"majority-n3-sourcedpor", "majority", 3, 0, shmem.Model{}, model.WalkerSourceDPOR},
+		{"majority-n3-sourcedpor-crash1", "majority", 3, 1, shmem.Model{}, model.WalkerSourceDPOR},
+		{"firstfit-n2-sourcedpor-crash1", "firstfit", 2, 1, shmem.Model{}, model.WalkerSourceDPOR},
 		// The stateless hash-free walker: counts must agree without any
 		// dedup in the loop.
-		{"basic-n3-sleepset", "basic", 3, 0, shmem.Model{}, model.WalkerSleepSet, 1},
-		{"firstfit-n2-sleepset-crash1", "firstfit", 2, 1, shmem.Model{}, model.WalkerSleepSet, 1},
+		{"basic-n3-sleepset", "basic", 3, 0, shmem.Model{}, model.WalkerSleepSet},
+		{"firstfit-n2-sleepset-crash1", "firstfit", 2, 1, shmem.Model{}, model.WalkerSleepSet},
 		// Fault models: stale-choice branching and restart branching add
 		// engine-driven decisions to the tree.
-		{"firstfit-n2-safe", "firstfit", 2, 1, shmem.Model{Regs: shmem.RegSafe}, model.WalkerSourceDPOR, 1},
-		{"basic-n2-recovery", "basic", 2, 1, shmem.Model{Recovery: true}, model.WalkerSourceDPOR, 1},
-		// The sharded parallel drive: per-shard trees walked concurrently,
-		// totals summed — still engine-independent.
-		{"majority-n3-sourcedpor-x2", "majority", 3, 1, shmem.Model{}, model.WalkerSourceDPOR, 2},
+		{"firstfit-n2-safe", "firstfit", 2, 1, shmem.Model{Regs: shmem.RegSafe}, model.WalkerSourceDPOR},
+		{"basic-n2-recovery", "basic", 2, 1, shmem.Model{Recovery: true}, model.WalkerSourceDPOR},
 		// A stage-chaining algorithm (snapshot frames, Ref registers): dedup
 		// hashes cover Ref stamps, canonical within each engine instance.
-		{"efficient-n2-sourcedpor", "efficient", 2, 1, shmem.Model{}, model.WalkerSourceDPOR, 1},
+		{"efficient-n2-sourcedpor", "efficient", 2, 1, shmem.Model{}, model.WalkerSourceDPOR},
 	}
 	for _, cell := range cells {
 		cell := cell
@@ -69,7 +66,6 @@ func TestEngineReportDifferential(t *testing.T) {
 						Model:      cell.model,
 						Walker:     cell.walker,
 						Engine:     eng,
-						Workers:    cell.workers,
 					})
 			}
 			g := run(model.EngineGoroutine)

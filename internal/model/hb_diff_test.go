@@ -17,7 +17,7 @@ import (
 )
 
 // checkCell runs one model-checking cell in the given race mode.
-func checkCell(tc conformance.Case, n, maxCrashes int, m shmem.Model, workers, budget int, race model.RaceMode) model.Report {
+func checkCell(tc conformance.Case, n, maxCrashes int, m shmem.Model, budget int, race model.RaceMode) model.Report {
 	return model.Check(tc.Name,
 		func() check.Renamer { return tc.New(n, 1) },
 		n, tc.Origs(n, 1), tc.Suite(n, "model"),
@@ -25,7 +25,6 @@ func checkCell(tc conformance.Case, n, maxCrashes int, m shmem.Model, workers, b
 			MaxCrashes: maxCrashes,
 			Model:      m,
 			Budget:     budget,
-			Workers:    workers,
 			Race:       race,
 		})
 }
@@ -53,15 +52,13 @@ func TestIncrementalHBDifferential(t *testing.T) {
 		n          int
 		maxCrashes int
 		model      shmem.Model
-		workers    int
 	}{
-		{"majority-n3-crash1", "majority", 3, 1, shmem.Model{}, 1},
-		{"basic-n3", "basic", 3, 0, shmem.Model{}, 1},
-		{"firstfit-n2-regular-crash1", "firstfit", 2, 1, shmem.Model{Regs: shmem.RegRegular}, 1},
-		{"firstfit-n2-safe-crash1", "firstfit", 2, 1, shmem.Model{Regs: shmem.RegSafe}, 1},
-		{"basic-n2-recovery-crash1", "basic", 2, 1, shmem.Model{Recovery: true}, 1},
-		{"efficient-n2-crash1", "efficient", 2, 1, shmem.Model{}, 1},
-		{"majority-n3-crash1-x2", "majority", 3, 1, shmem.Model{}, 2},
+		{"majority-n3-crash1", "majority", 3, 1, shmem.Model{}},
+		{"basic-n3", "basic", 3, 0, shmem.Model{}},
+		{"firstfit-n2-regular-crash1", "firstfit", 2, 1, shmem.Model{Regs: shmem.RegRegular}},
+		{"firstfit-n2-safe-crash1", "firstfit", 2, 1, shmem.Model{Regs: shmem.RegSafe}},
+		{"basic-n2-recovery-crash1", "basic", 2, 1, shmem.Model{Recovery: true}},
+		{"efficient-n2-crash1", "efficient", 2, 1, shmem.Model{}},
 	}
 	for _, cell := range cells {
 		cell := cell
@@ -71,11 +68,11 @@ func TestIncrementalHBDifferential(t *testing.T) {
 			if !ok {
 				t.Fatalf("conformance case %s missing", cell.algo)
 			}
-			inc := checkCell(tc, cell.n, cell.maxCrashes, cell.model, cell.workers, 0, model.RaceIncremental)
-			reb := checkCell(tc, cell.n, cell.maxCrashes, cell.model, cell.workers, 0, model.RaceRebuild)
+			inc := checkCell(tc, cell.n, cell.maxCrashes, cell.model, 0, model.RaceIncremental)
+			reb := checkCell(tc, cell.n, cell.maxCrashes, cell.model, 0, model.RaceRebuild)
 			// The differential mode re-runs the walk asserting per-backtrack
 			// equality of backtrack sets and relation rows inside the engine.
-			diff := checkCell(tc, cell.n, cell.maxCrashes, cell.model, cell.workers, 0, model.RaceDifferential)
+			diff := checkCell(tc, cell.n, cell.maxCrashes, cell.model, 0, model.RaceDifferential)
 			ic, rc, dc := countsOf(inc), countsOf(reb), countsOf(diff)
 			if ic != rc || ic != dc {
 				t.Fatalf("race modes walked different trees:\n  incremental  %+v\n  rebuild      %+v\n  differential %+v", ic, rc, dc)
@@ -136,6 +133,6 @@ func FuzzIncrementalHB(f *testing.F) {
 		// algorithms); a budgeted walk still differentials every backtrack
 		// it performs. Expected invariant violations (firstfit under weak
 		// registers) stop the walk cleanly and are not failures here.
-		checkCell(tc, pop, maxCrashes, m, 1, 3000, model.RaceDifferential)
+		checkCell(tc, pop, maxCrashes, m, 3000, model.RaceDifferential)
 	})
 }

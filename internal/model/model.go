@@ -27,10 +27,6 @@
 // so the walker visits the same tree either way; only wall-clock changes. The
 // default resolves to vexec whenever the algorithm ships frame automata.
 //
-// Workers > 1 shards the root decisions of the tree across goroutines
-// (explore.DriveParallel): each enabled first grant is searched as an
-// independent subtree over its own instance.
-//
 // This is the ROADMAP's "prove, don't sample" item: Explore samples the
 // adversary's space at every size, the model checker closes it at small n,
 // and internal/conformance records per algorithm which sizes are proven
@@ -39,7 +35,6 @@ package model
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/check"
@@ -163,8 +158,6 @@ type Options struct {
 	// Engine selects the execution engine the walker drives; the zero value
 	// (EngineAuto) uses vexec whenever the algorithm ships frame automata.
 	Engine Engine
-	// Workers > 1 shards the root decisions across that many goroutines.
-	Workers int
 	// Race selects the source-DPOR race-analysis implementation; the zero
 	// value (RaceIncremental) is the default. Ignored by the stateless
 	// walkers.
@@ -184,14 +177,13 @@ type Report struct {
 	Model      shmem.Model
 	Walker     Walker
 	Engine     Engine // resolved: never EngineAuto in a returned report
-	Workers    int
-	Executions int // complete executions checked
-	Partial    int // redundant prefixes cut by sleep sets or state dedup
-	Explored   int // scheduling decisions executed
-	Pruned     int // enabled choices skipped as commuting-equivalent
-	Replayed   int // prefix grants re-executed (stateless engine only)
-	Restored   int // checkpoint restores (stateful engine only)
-	Deduped    int // nodes cut as already-explored states (stateful engine)
+	Executions int    // complete executions checked
+	Partial    int    // redundant prefixes cut by sleep sets or state dedup
+	Explored   int    // scheduling decisions executed
+	Pruned     int    // enabled choices skipped as commuting-equivalent
+	Replayed   int    // prefix grants re-executed (stateless engine only)
+	Restored   int    // checkpoint restores (stateful engine only)
+	Deduped    int    // nodes cut as already-explored states (stateful engine)
 	// RaceEvents counts happens-before rows derived by source-DPOR's race
 	// analysis — per-event with the incremental layer, per-trace-per-leaf
 	// with the rebuild reference — and RaceTime the wall-clock spent there.
@@ -234,11 +226,8 @@ func (r *Report) Summary() string {
 	if !r.Model.Atomic() {
 		s += fmt.Sprintf(" model=%s", r.Model)
 	}
-	s += fmt.Sprintf(" [%s@%s", r.Walker, r.Engine)
-	if r.Workers > 1 {
-		s += fmt.Sprintf(" x%d", r.Workers)
-	}
-	s += fmt.Sprintf("]: %s — %d executions, %d pruned prefixes, %d decisions (%d pruned", verdict, r.Executions, r.Partial, r.Explored, r.Pruned)
+	s += fmt.Sprintf(" [%s@%s]: %s — %d executions, %d pruned prefixes, %d decisions (%d pruned",
+		r.Walker, r.Engine, verdict, r.Executions, r.Partial, r.Explored, r.Pruned)
 	if r.Deduped > 0 {
 		s += fmt.Sprintf(", %d deduped", r.Deduped)
 	}
@@ -253,8 +242,7 @@ func (r *Report) Summary() string {
 
 // instance is one system under check: a fresh renamer with its per-pid
 // outcome capture. The stateful engine uses exactly one; the stateless
-// engine builds one per execution; the sharded parallel drive builds one per
-// root shard.
+// engine builds one per execution.
 type instance struct {
 	renamer check.Renamer
 	got     []int64
@@ -292,9 +280,6 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 			origs[i] = int64(i + 1)
 		}
 	}
-	if opt.Workers < 1 {
-		opt.Workers = 1
-	}
 	mkInstance := func() *instance {
 		return &instance{renamer: new(), got: make([]int64, n), oks: make([]bool, n)}
 	}
@@ -308,104 +293,71 @@ func Check(label string, new func() check.Renamer, n int, origs []int64, suite c
 			engine = EngineGoroutine
 		}
 	}
-	rep := Report{Label: label, N: n, Model: opt.Model, Walker: opt.Walker, Engine: engine, Workers: opt.Workers}
+	rep := Report{Label: label, N: n, Model: opt.Model, Walker: opt.Walker, Engine: engine}
 	start := time.Now()
 
-	var vmu sync.Mutex // parallel shards report violations concurrently
-	// checkRun validates one completed execution; shared by every drive
-	// shape. It must be called with the instance that ran it.
-	checkRun := func(in *instance, t sched.Trace, res sched.Result) *Violation {
-		var err error
-		if res.Err != nil {
-			err = fmt.Errorf("process panic: %w", res.Err)
-		} else {
-			err = suite.Check(check.NewRun(origs, in.got, in.oks, res, in.renamer.MaxName()))
+	var strat explore.Strategy
+	switch opt.Walker {
+	case WalkerSleepSet:
+		strat = explore.NewSleepSet(1, opt.Budget, opt.MaxCrashes)
+	default:
+		s := explore.NewSourceDPOR(1, opt.Budget, opt.MaxCrashes)
+		if opt.NoDedup {
+			s.DisableDedup()
 		}
-		if err != nil {
-			// t aliases the drive's reused trace buffer; the violation is the
-			// report's durable artifact, so copy.
-			return &Violation{Err: err, Trace: append(sched.Trace(nil), t...)}
+		switch opt.Race {
+		case RaceRebuild:
+			s.SetRaceAnalysis(explore.RaceRebuild)
+		case RaceDifferential:
+			s.SetRaceAnalysis(explore.RaceDifferential)
 		}
-		return nil
+		strat = s
 	}
-	mkStrategy := func() explore.Strategy {
-		switch opt.Walker {
-		case WalkerSleepSet:
-			return explore.NewSleepSet(1, opt.Budget, opt.MaxCrashes)
-		default:
-			s := explore.NewSourceDPOR(1, opt.Budget, opt.MaxCrashes)
-			if opt.NoDedup {
-				s.DisableDedup()
+	cur := mkInstance()
+	cfg := explore.Config{
+		N:      n,
+		Model:  opt.Model,
+		Engine: explore.EngineGoroutine,
+		Names:  func(run int) []int64 { return origs },
+		Body: func(run int) sched.Body {
+			if run > 0 {
+				// Stateless walker: a fresh system per execution.
+				cur = mkInstance()
 			}
-			switch opt.Race {
-			case RaceRebuild:
-				s.SetRaceAnalysis(explore.RaceRebuild)
-			case RaceDifferential:
-				s.SetRaceAnalysis(explore.RaceDifferential)
+			return cur.body()
+		},
+		// OnResult validates one completed execution against the instance
+		// that ran it and stops the walk at the first violation.
+		OnResult: func(run int, t sched.Trace, res sched.Result) bool {
+			var err error
+			if res.Err != nil {
+				err = fmt.Errorf("process panic: %w", res.Err)
+			} else {
+				err = suite.Check(check.NewRun(origs, cur.got, cur.oks, res, cur.renamer.MaxName()))
 			}
-			return s
-		}
+			if err != nil {
+				// t aliases the drive's reused trace buffer; the violation
+				// is the report's durable artifact, so copy.
+				rep.Violation = &Violation{Err: err, Trace: append(sched.Trace(nil), t...)}
+				return false
+			}
+			return true
+		},
 	}
-	configFor := func(in *instance, fresh func() *instance) explore.Config {
-		cur := in
-		cfg := explore.Config{
-			N:      n,
-			Model:  opt.Model,
-			Engine: explore.EngineGoroutine,
-			Names:  func(run int) []int64 { return origs },
-			Body: func(run int) sched.Body {
-				if run > 0 {
-					// Stateless walker: a fresh system per execution.
-					cur = fresh()
-				}
-				return cur.body()
-			},
-			OnResult: func(run int, t sched.Trace, res sched.Result) bool {
-				if v := checkRun(cur, t, res); v != nil {
-					vmu.Lock()
-					if rep.Violation == nil {
-						rep.Violation = v
-					}
-					vmu.Unlock()
-					return false
-				}
-				return true
-			},
+	if engine == EngineVexec {
+		if _, ok := cur.renamer.(vexec.FrameRenamer); !ok {
+			panic(fmt.Sprintf("model: Options.Engine=vexec but %T ships no frame automata", cur.renamer))
 		}
-		if engine == EngineVexec {
-			if _, ok := cur.renamer.(vexec.FrameRenamer); !ok {
-				panic(fmt.Sprintf("model: Options.Engine=vexec but %T ships no frame automata", cur.renamer))
+		cfg.Engine = explore.EngineVexec
+		cfg.Frame = func(run int) func(p *shmem.Proc) vexec.Frame {
+			if run > 0 {
+				cur = mkInstance()
 			}
-			cfg.Engine = explore.EngineVexec
-			cfg.Frame = func(run int) func(p *shmem.Proc) vexec.Frame {
-				if run > 0 {
-					cur = fresh()
-				}
-				return cur.frames()
-			}
+			return cur.frames()
 		}
-		return cfg
 	}
 
-	var stats explore.Stats
-	if opt.Workers > 1 {
-		stats = explore.DriveParallel(explore.ParallelSpec{
-			Workers:    opt.Workers,
-			N:          n,
-			MaxCrashes: opt.MaxCrashes,
-			Probe: func() explore.Config {
-				in := mkInstance()
-				return explore.Config{N: n, Names: func(int) []int64 { return origs }, Body: func(int) sched.Body { return in.body() }}
-			},
-			NewStrategy: mkStrategy,
-			Config: func(shard int) explore.Config {
-				in := mkInstance()
-				return configFor(in, mkInstance)
-			},
-		})
-	} else {
-		stats = explore.Drive(mkStrategy(), configFor(mkInstance(), mkInstance))
-	}
+	stats := explore.Drive(strat, cfg)
 	rep.Executions = stats.Executions
 	rep.Partial = stats.Partial
 	rep.Explored = stats.Explored
