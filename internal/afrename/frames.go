@@ -74,3 +74,19 @@ func (f *RenameFrame) beginAttempt(m *vexec.M) vexec.Status {
 	f.uf.Init(f.r.snap, f.slot, entry{id: f.id, prop: f.prop})
 	return m.Call(&f.uf)
 }
+
+// Image implements vexec.Imager: the frame value plus the scratch of
+// whichever embedded snapshot frame runs — the update (pc 1) or the scan
+// (pc 2). The taken buffer is not imaged: every use rebuilds it from empty
+// within one Run, so only its header — carried by the value copy — outlives
+// a yield.
+func (f *RenameFrame) Image(img any, load bool) any {
+	im := vexec.Nest(f, img, load)
+	switch f.pc {
+	case 1:
+		im.Child[0] = f.uf.Image(im.Child[0], load)
+	case 2:
+		im.Child[1] = f.sf.Image(im.Child[1], load)
+	}
+	return im
+}

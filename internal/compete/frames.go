@@ -54,6 +54,9 @@ func (f *CompeteFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	}
 }
 
+// Image implements vexec.Imager.
+func (f *CompeteFrame) Image(img any, load bool) any { return vexec.ValueImage(f, img, load) }
+
 // FirstFitFrame is the frame compilation of FirstFit.Rename: competitions on
 // pairs 0,1,2,... in order, claiming the first one won. The type is exported
 // so long-lived harnesses can embed one per lane and re-arm it between
@@ -96,3 +99,6 @@ func (f *FirstFitFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	f.cf.Init(f.ff.field.Pair(f.i), f.id)
 	return m.Call(&f.cf)
 }
+
+// Image implements vexec.Imager.
+func (f *FirstFitFrame) Image(img any, load bool) any { return vexec.ValueImage(f, img, load) }

@@ -62,6 +62,9 @@ func (f *MajorityFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Call(&f.cf)
 }
 
+// Image implements vexec.Imager.
+func (f *MajorityFrame) Image(img any, load bool) any { return vexec.ValueImage(f, img, load) }
+
 // basicFrame compiles Basic.Rename: the Majority stages in order until one
 // assigns a name.
 type basicFrame struct {
@@ -97,6 +100,9 @@ func (f *basicFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	f.mf.Init(f.b.stages[f.s], f.orig)
 	return m.Call(&f.mf)
 }
+
+// Image implements vexec.Imager.
+func (f *basicFrame) Image(img any, load bool) any { return vexec.ValueImage(f, img, load) }
 
 // polylogFrame compiles PolyLog.Rename: the name flows through the Basic
 // epochs; any failed epoch aborts the pipeline.
@@ -137,6 +143,9 @@ func (f *polylogFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	f.bf.init(f.pl.epochs[f.j], f.cur)
 	return m.Call(&f.bf)
 }
+
+// Image implements vexec.Imager.
+func (f *polylogFrame) Image(img any, load bool) any { return vexec.ValueImage(f, img, load) }
 
 // efficientFrame compiles Efficient.Rename: grid → polylog → AF stage, with
 // the optional fallback lane on any stage failure.
@@ -203,6 +212,16 @@ func (f *efficientFrame) enterFallback(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Call(&f.aff)
 }
 
+// Image implements vexec.Imager: the frame value plus the scratch of its
+// embedded AF stage while that stage runs (pc 3 and 4).
+func (f *efficientFrame) Image(img any, load bool) any {
+	im := vexec.Nest(f, img, load)
+	if f.pc >= 3 {
+		im.Child[0] = f.aff.Image(im.Child[0], load)
+	}
+	return im
+}
+
 // almostFrame compiles AlmostAdaptive.Rename: PolyLog doubling levels in
 // order, then the object-wide fallback lane.
 type almostFrame struct {
@@ -250,6 +269,16 @@ func (f *almostFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Call(&f.aff)
 }
 
+// Image implements vexec.Imager: the frame value plus the scratch of its
+// embedded fallback lane while it runs (pc 2).
+func (f *almostFrame) Image(img any, load bool) any {
+	im := vexec.Nest(f, img, load)
+	if f.pc == 2 {
+		im.Child[0] = f.aff.Image(im.Child[0], load)
+	}
+	return im
+}
+
 // adaptiveFrame compiles Adaptive.Rename: Efficient doubling levels in
 // order, then the object-wide fallback lane.
 type adaptiveFrame struct {
@@ -295,6 +324,20 @@ func (f *adaptiveFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	f.pc = 2
 	f.aff.Init(f.a.fallback, p.ID(), f.orig)
 	return m.Call(&f.aff)
+}
+
+// Image implements vexec.Imager: the frame value plus the scratch of
+// whichever embedded frame runs — the Efficient level (pc 1) or the
+// fallback lane (pc 2).
+func (f *adaptiveFrame) Image(img any, load bool) any {
+	im := vexec.Nest(f, img, load)
+	switch f.pc {
+	case 1:
+		im.Child[0] = f.ef.Image(im.Child[0], load)
+	case 2:
+		im.Child[1] = f.aff.Image(im.Child[1], load)
+	}
+	return im
 }
 
 // Compile-time checks that every renaming algorithm compiles to frames.

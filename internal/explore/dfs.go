@@ -139,7 +139,11 @@ func (t *Tree) Next(e sched.Engine) Choice {
 		if parent.chosen.Crash {
 			f.crashesBefore++
 		}
-		f.sleep = childSleep(e, parent)
+		var buf []sleepEntry
+		if d := len(t.stack); d < cap(t.stack) {
+			buf = t.stack[:d+1][d].sleep
+		}
+		f.sleep = childSleep(e, parent, buf)
 	}
 	faultOpen(e, &f)
 	// Sleeping transitions are pre-marked done: exploring one would re-derive
@@ -191,11 +195,13 @@ func (t *Tree) Next(e sched.Engine) Choice {
 // inherited entries that are independent of the chosen transition, plus the
 // parent's previously explored (or pruned) siblings, filtered the same way.
 // All surviving entries belong to processes other than the chosen one, so
-// their posted intents are live on the engine.
-func childSleep(e sched.Engine, parent *frame) []sleepEntry {
+// their posted intents are live on the engine. The set is built in buf's
+// backing array — the sleep buffer of the popped frame whose stack slot the
+// child fills, so a walk allocates sleep sets only as it first deepens.
+func childSleep(e sched.Engine, parent *frame, buf []sleepEntry) []sleepEntry {
 	ch, chIn := parent.chosen, parent.chosenIn
 	chFault := ch.Crash || ch.Restart
-	var out []sleepEntry
+	out := buf[:0]
 	seen := struct{ step, crash, restart uint64 }{}
 	add := func(e sleepEntry) {
 		bit := uint64(1) << uint(e.pid)

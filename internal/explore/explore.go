@@ -80,8 +80,9 @@ type Stats struct {
 	Replayed int
 	// Restored counts checkpoint restores performed by stateful strategies —
 	// the rewind that replaces each Replayed prefix re-execution: memory
-	// back to the capture, then catch-up replay of the processes (on the
-	// goroutine engine every one, on vexec only the lanes that moved).
+	// back to the capture, then the processes back at their captured
+	// positions (the goroutine engine replays every one from its read log,
+	// vexec copies back the lane images of only the lanes that moved).
 	Restored int
 	// Pruned counts enabled choices the strategy skipped because partial-order
 	// reasoning (sleep sets, backtrack sets) showed them redundant.

@@ -25,7 +25,8 @@ import (
 //
 //   - Each node carries the engine's checkpoint (sched.ExecState);
 //     backtracking restores it — registers back to the capture, processes
-//     caught up locally from their read logs (on vexec, only the lanes that
+//     back at their captured positions (the goroutine engine replays each
+//     from its read log; vexec copies back the images of the lanes that
 //     moved since the node) — rather than re-executing the O(depth) prefix,
 //     so Stats.Replayed is zero by construction and Stats.Restored counts
 //     the restores.
@@ -59,6 +60,12 @@ type SourceDPOR struct {
 	diffSave  []uint64    // RaceDifferential: btStep snapshots across the two runs
 	diffRef   []uint64
 	stats     Stats
+
+	// Live subtree footprints (dedup mode), one packed row per stack depth:
+	// row d belongs to stack[d], and access footKey k is bit footBit(k).
+	footN      int // population: bits per (register, kind)
+	footStride int // words per row; widened geometrically as registers are interned
+	footRows   []uint64
 }
 
 // sframe extends the shared tree frame with the stateful machinery: the
@@ -73,13 +80,12 @@ type sframe struct {
 	sleepRestart  uint64
 	restartBudget int     // remaining global restarts at node entry (dedup mode)
 	chosenKey     footKey // the chosen access (dedup mode, register steps only)
-	foot          map[footKey]struct{}
 }
 
 // footKey identifies one kind of register access occurring in a subtree:
 // which process performed which operation on which register, packed as
 // reg<<16 | kind<<8 | pid with reg the walk's dense register key
-// (hbState.intern). It holds no pointer, so neither do the footprint sets
+// (hbState.intern). It holds no pointer, so neither do the footprint rows
 // and the closed-record table: the garbage collector never scans them.
 // Crashes touch no register and commute with everything, so they never enter
 // a footprint.
@@ -92,6 +98,57 @@ func newFootKey(reg int32, kind shmem.OpKind, pid int) footKey {
 func (k footKey) reg() int32         { return int32(k >> 16) }
 func (k footKey) kind() shmem.OpKind { return shmem.OpKind(k >> 8) }
 func (k footKey) pid() int           { return int(k & 0xff) }
+
+// footBit is k's bit in a footprint row, (reg·2 + kind−1)·n + pid: each
+// register owns 2n consecutive bits, so interning a register only ever
+// appends bits.
+func (t *SourceDPOR) footBit(k footKey) int {
+	return (int(k.reg())*2+int(k.kind())-1)*t.footN + k.pid()
+}
+
+// footKeyAt is footBit's inverse.
+func (t *SourceDPOR) footKeyAt(b int) footKey {
+	q := b / t.footN
+	return newFootKey(int32(q>>1), shmem.OpKind(q&1+1), b%t.footN)
+}
+
+func (t *SourceDPOR) footRow(d int) []uint64 {
+	return t.footRows[d*t.footStride : (d+1)*t.footStride]
+}
+
+// openFoot clears the footprint row of the frame about to be pushed at depth
+// d, growing the row table geometrically when the stack outgrows it.
+func (t *SourceDPOR) openFoot(d int) {
+	if t.footStride == 0 {
+		t.footStride = 1
+	}
+	if need := (d + 1) * t.footStride; len(t.footRows) < need {
+		rows := make([]uint64, 2*need)
+		copy(rows, t.footRows)
+		t.footRows = rows
+	}
+	clear(t.footRow(d))
+}
+
+// addFoot records access k in depth d's footprint. A register interned past
+// the current width first widens every row — doubling the stride and
+// re-laying the rows, as hbState.grow does for the relation.
+func (t *SourceDPOR) addFoot(d int, k footKey) {
+	b := t.footBit(k)
+	if b >= t.footStride*64 {
+		ns := t.footStride
+		for ns*64 <= b {
+			ns *= 2
+		}
+		depth := len(t.footRows) / t.footStride
+		rows := make([]uint64, depth*ns)
+		for r := 0; r < depth; r++ {
+			copy(rows[r*ns:], t.footRow(r))
+		}
+		t.footRows, t.footStride = rows, ns
+	}
+	rowSet(t.footRow(d), b)
+}
 
 // closedRec is one fully explored state: everything reachable from it
 // (outside its sleep set, within its crash budget) has been executed and
@@ -181,11 +238,10 @@ func (t *SourceDPOR) Backtrack(tr sched.Trace, res sched.Result) bool {
 // sched.StateEngine (both concrete engines are).
 func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 	c := eng.(sched.StateEngine)
-	if t.resumeAt >= 0 {
-		f := &t.stack[t.resumeAt]
+	if d := t.resumeAt; d >= 0 {
 		t.resumeAt = -1
-		t.commit(c, f)
-		return f.chosen
+		t.commit(c, d)
+		return t.stack[d].chosen
 	}
 	f := sframe{frame: frame{enabled: enabledMask(c)}}
 	if len(t.stack) > 0 {
@@ -194,7 +250,11 @@ func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 		if parent.chosen.Crash {
 			f.crashesBefore++
 		}
-		f.sleep = childSleep(c, &parent.frame)
+		var buf []sleepEntry
+		if d := len(t.stack); d < cap(t.stack) {
+			buf = t.stack[:d+1][d].sleep
+		}
+		f.sleep = childSleep(c, &parent.frame, buf)
 	}
 	faultOpen(c, &f.frame)
 	// Sleeping transitions are pre-marked done: exploring one would re-derive
@@ -254,17 +314,24 @@ func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 		return Abandon
 	}
 	f.snap = c.Checkpoint()
+	if t.dedup {
+		if t.footN == 0 {
+			t.footN = c.N()
+		}
+		t.openFoot(len(t.stack))
+	}
 	t.stack = append(t.stack, f)
-	t.commit(c, &t.stack[len(t.stack)-1])
+	t.commit(c, len(t.stack)-1)
 	return f.chosen
 }
 
-// commit finalizes an about-to-execute choice on its frame: refresh the
-// posted intent (live — the controller is at the frame's state), record the
-// access in the subtree footprint (dedup mode only — footprints exist to
-// replay a closed subtree's race obligations at a dedup cut), and count the
-// decision.
-func (t *SourceDPOR) commit(c sched.Engine, f *sframe) {
+// commit finalizes the about-to-execute choice of the frame at depth d:
+// refresh the posted intent (live — the controller is at the frame's
+// state), record the access in the subtree footprint (dedup mode only —
+// footprints exist to replay a closed subtree's race obligations at a dedup
+// cut), and count the decision.
+func (t *SourceDPOR) commit(c sched.Engine, d int) {
+	f := &t.stack[d]
 	if f.chosen.Restart || f.chosen.Pid < 0 {
 		// Restarts carry no intent (the process is crashed) and Halt grants
 		// nothing; neither touches a register, so no footprint entry either.
@@ -273,11 +340,8 @@ func (t *SourceDPOR) commit(c sched.Engine, f *sframe) {
 	}
 	f.chosenIn = c.Intent(f.chosen.Pid)
 	if t.dedup && !f.chosen.Crash {
-		if f.foot == nil {
-			f.foot = make(map[footKey]struct{})
-		}
 		f.chosenKey = newFootKey(t.hb.intern(f.chosenIn.Reg), f.chosenIn.Kind, f.chosen.Pid)
-		f.foot[f.chosenKey] = struct{}{}
+		t.addFoot(d, f.chosenKey)
 	}
 	t.stats.Explored++
 }
@@ -351,8 +415,12 @@ func (t *SourceDPOR) closeFrame(i int) {
 			foot:          int32(len(t.feet)),
 			next:          -1,
 		}
-		for k := range f.foot {
-			t.feet = append(t.feet, k)
+		row := t.footRow(i)
+		for w, word := range row {
+			for word != 0 {
+				t.feet = append(t.feet, t.footKeyAt(w<<6+bits.TrailingZeros64(word)))
+				word &= word - 1
+			}
 		}
 		rec.footEnd = int32(len(t.feet))
 		t.recs = append(t.recs, rec)
@@ -362,7 +430,7 @@ func (t *SourceDPOR) closeFrame(i int) {
 		} else {
 			t.table[f.key] = recSpan{first: id, last: id}
 		}
-		mergeFoot(&t.stack[i-1], t.feet[rec.foot:rec.footEnd])
+		rowOr(t.footRow(i-1), row)
 	}
 }
 
@@ -393,19 +461,9 @@ func (t *SourceDPOR) coverDedup(rec *closedRec) {
 			}
 		}
 	}
-	mergeFoot(&t.stack[len(t.stack)-1], foot)
-}
-
-// mergeFoot unions src into dst's subtree footprint.
-func mergeFoot(dst *sframe, src []footKey) {
-	if len(src) == 0 {
-		return
-	}
-	if dst.foot == nil {
-		dst.foot = make(map[footKey]struct{}, len(src))
-	}
-	for _, k := range src {
-		dst.foot[k] = struct{}{}
+	top := len(t.stack) - 1
+	for _, fe := range foot {
+		t.addFoot(top, fe)
 	}
 }
 
@@ -606,7 +664,7 @@ func (t *SourceDPOR) scanRaces(tr sched.Trace, rel hbRel, from, L int) {
 		clear(cov)
 		for w, word := range hbj {
 			for word != 0 {
-				m := w<<6 + trailingZeros(word)
+				m := w<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
 				rowOr(cov, rel.eventRow(m))
 			}
@@ -614,7 +672,7 @@ func (t *SourceDPOR) scanRaces(tr sched.Trace, rel hbRel, from, L int) {
 		for w := range hbj {
 			direct := hbj[w] &^ cov[w]
 			for direct != 0 {
-				i := w<<6 + trailingZeros(direct)
+				i := w<<6 + bits.TrailingZeros64(direct)
 				direct &= direct - 1
 				if tr[i].Pid != tr[j].Pid && !tr[i].Crash && !tr[i].Restart {
 					t.addSource(i, j, tr, rel)
@@ -677,10 +735,6 @@ func (t *SourceDPOR) addSource(i, j int, tr sched.Trace, rel hbRel) {
 		f.btStep |= f.enabled
 	}
 }
-
-// trailingZeros is bits.TrailingZeros64 under a name that does not collide
-// with the package's math/bits import alias usage elsewhere.
-func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 
 // pickNext selects the next unexplored scheduled transition of f (steps
 // before crashes, then halt, then restarts; ascending pid), marks it done,

@@ -40,6 +40,9 @@ func (f *splitFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	}
 }
 
+// Image implements vexec.Imager.
+func (f *splitFrame) Image(img any, load bool) any { return vexec.ValueImage(f, img, load) }
+
 // GridFrame is the frame compilation of Grid.Rename: the diagonal walk from
 // cell (0,0), moving right or down per splitter outcome, claiming the cell's
 // name on stop and failing off the k-th anti-diagonal.
@@ -87,3 +90,6 @@ func (f *GridFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	f.sf = splitFrame{cell: &f.g.cells[f.r][f.c], id: f.id}
 	return m.Call(&f.sf)
 }
+
+// Image implements vexec.Imager.
+func (f *GridFrame) Image(img any, load bool) any { return vexec.ValueImage(f, img, load) }

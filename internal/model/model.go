@@ -250,8 +250,9 @@ type instance struct {
 }
 
 // body runs one process's rename into its outcome slot. The slot is zeroed
-// first, so a respawn (Restore's catch-up) never shows an abandoned branch's
-// outcome — a process crashed before finishing leaves it zero.
+// first, so a respawn (the goroutine engine's Restore catch-up) never shows
+// an abandoned branch's outcome — a process crashed before finishing leaves
+// it zero.
 func (in *instance) body() sched.Body {
 	return func(p *shmem.Proc) {
 		in.got[p.ID()], in.oks[p.ID()] = 0, false

@@ -128,3 +128,12 @@ func (f *StreamFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	ln.frame = sessionFrame{ln: ln}
 	return m.Call(&ln.frame)
 }
+
+// Image implements vexec.Imager: the frame value plus the image of the
+// lane's session frame it calls. Like sessionFrame's, it leaves the lane and
+// service bookkeeping out.
+func (f *StreamFrame) Image(img any, load bool) any {
+	im := vexec.Nest(f, img, load)
+	im.Child[0] = f.ln.frame.Image(im.Child[0], load)
+	return im
+}

@@ -170,11 +170,26 @@ type idleFrame struct{}
 
 func (idleFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status { return m.Return(0, false) }
 
+// Image implements vexec.Imager: an idle frame has no state.
+func (idleFrame) Image(img any, load bool) any { return nil }
+
 // sessionFrame is the frame compilation of one session's lifecycle.
 type sessionFrame struct {
 	ln *Lane
 	af vexec.Frame
 	pc uint8
+}
+
+// Image implements vexec.Imager: the frame value plus the image of the
+// retained algorithm frame while it runs (pc 2). The lane and service
+// bookkeeping the session updates lives outside the engine and is not
+// imaged.
+func (f *sessionFrame) Image(img any, load bool) any {
+	im := vexec.Nest(f, img, load)
+	if f.pc == 2 {
+		im.Child[0] = vexec.ImageOf(f.af, im.Child[0], load)
+	}
+	return im
 }
 
 func (f *sessionFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status {

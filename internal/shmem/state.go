@@ -157,6 +157,24 @@ func (p *Proc) LoadState(s ProcState) {
 	p.rp = replayState{active: true, crash: s.Crashed, target: s.Steps, reads: s.Reads, cur: s.IncBase}
 }
 
+// Rewind puts the process back at the captured position s directly — the
+// counterpart of LoadState for engines that copy a process's local state
+// back instead of recomputing it, so no replay is armed. The log suffix
+// beyond s.Reads belongs to an abandoned continuation and is discarded.
+func (p *Proc) Rewind(s ProcState) {
+	if !p.recording {
+		panic("shmem: Proc.Rewind without EnableReadLog")
+	}
+	p.steps = s.Steps
+	p.readLog = p.readLog[:s.Reads]
+	p.readHash = s.ReadHash
+	p.incBase = s.IncBase
+	p.baseSteps = s.BaseSteps
+	p.restarts = s.Restarts
+	p.staleArm = false
+	p.rp = replayState{}
+}
+
 // At reports whether the process stands at the captured position s: same
 // step count, read-log length, read-history hash and incarnation (s.Crashed
 // is the scheduler's flag and is not compared). Along one branch a process's

@@ -45,6 +45,29 @@ func (f *collectFrame[T]) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	return m.Intend(shmem.OpRead, &f.o.segs[f.i])
 }
 
+// collectImage is a collectFrame's image: the frame value plus the contents
+// of the collect buffer it fills in place.
+type collectImage[T any] struct {
+	f   collectFrame[T]
+	out []*segment[T]
+}
+
+// Image implements vexec.Imager.
+func (f *collectFrame[T]) Image(img any, load bool) any {
+	im, ok := img.(*collectImage[T])
+	if !ok {
+		im = new(collectImage[T])
+	}
+	if load {
+		*f = im.f
+		copy(f.out, im.out)
+	} else {
+		im.f = *f
+		im.out = append(im.out[:0], f.out...)
+	}
+	return im
+}
+
 // ScanFrame is the frame compilation of Scan. The returned view is delivered
 // through the destination pointer planted by Init (frames returning slices
 // cannot use M.RetI).
@@ -120,6 +143,38 @@ func (f *ScanFrame[T]) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 	}
 }
 
+// scanImage is a ScanFrame's image: the frame value plus the contents of the
+// scratch it mutates in place — the moved counters and both collect buffers
+// (prev and the embedded collect's out alias them, so the value copy of
+// those headers is covered too).
+type scanImage[T any] struct {
+	f     ScanFrame[T]
+	moved []int
+	bufs  [2][]*segment[T]
+}
+
+// Image implements vexec.Imager. The value copy restores the scratch slice
+// headers — the backing arrays the frame used at the save — and the saved
+// contents are copied back into those arrays.
+func (f *ScanFrame[T]) Image(img any, load bool) any {
+	im, ok := img.(*scanImage[T])
+	if !ok {
+		im = new(scanImage[T])
+	}
+	if load {
+		*f = im.f
+		copy(f.moved, im.moved)
+		copy(f.bufs[0], im.bufs[0])
+		copy(f.bufs[1], im.bufs[1])
+		return im
+	}
+	im.f = *f
+	im.moved = append(im.moved[:0], f.moved...)
+	im.bufs[0] = append(im.bufs[0][:0], f.bufs[0]...)
+	im.bufs[1] = append(im.bufs[1][:0], f.bufs[1]...)
+	return im
+}
+
 // UpdateFrame is the frame compilation of Update: the embedded scan's reads
 // followed by one WriteRef installing the new segment.
 type UpdateFrame[T any] struct {
@@ -163,4 +218,14 @@ func (f *UpdateFrame[T]) Run(m *vexec.M, p *shmem.Proc) vexec.Status {
 		shmem.WriteRef(p, &f.o.segs[f.i], f.seg)
 		return vexec.Done
 	}
+}
+
+// Image implements vexec.Imager: the frame value plus the scratch of its
+// embedded scan while the scan runs (pc 1).
+func (f *UpdateFrame[T]) Image(img any, load bool) any {
+	im := vexec.Nest(f, img, load)
+	if f.pc == 1 {
+		im.Child[0] = f.sf.Image(im.Child[0], load)
+	}
+	return im
 }

@@ -448,6 +448,9 @@ func (e *Exec) Restart(pid int) {
 	if e.restarts >= e.model.MaxRestarts {
 		panic(fmt.Sprintf("vexec: Restart(%d) beyond the model's budget of %d", pid, e.model.MaxRestarts))
 	}
+	if e.st.enabled {
+		e.saveLane(pid, e.grants)
+	}
 	e.fp = sched.FoldGrant(e.fp, pid, 0, 0, false, 0, true)
 	e.grants++
 	e.restarts++
@@ -672,13 +675,18 @@ func (e *Exec) Result() sched.Result {
 // scalar-register runs). Restore (state.go) needs no undo log because a
 // frame machine's state is plain data: a checkpoint copies every registered
 // cell's CellState outright, and cells registered later rewind to the
-// pre-image captured at registration.
+// pre-image captured at registration. Lanes restore by copy from the
+// per-lane image logs.
 type stateMirror struct {
 	enabled bool
 	regID   map[any]int
 	cells   []regCell
 	regHash [2]uint64
 	pending pendingWrite
+
+	mark   int64         // decision point of the latest Checkpoint or Restore; -1 none
+	roots  []Frame       // per lane: the root of its incarnation at its latest move
+	images [][]laneImage // per lane: images in decision order (see saveLane)
 }
 
 type regCell struct {
@@ -688,6 +696,10 @@ type regCell struct {
 	// write grant touched the cell): what Restore rewinds to for cells
 	// registered after the snapshot being restored was taken.
 	initState shmem.CellState
+	// wrote bounds from above the decision point of the latest write grant to
+	// the cell on the current branch: a cell with wrote < G is in the state
+	// it had at every decision point G or later, so Restore skips it.
+	wrote int64
 }
 
 type pendingWrite struct {
@@ -708,6 +720,9 @@ func (e *Exec) EnableState() {
 	}
 	e.st.enabled = true
 	e.st.regID = make(map[any]int)
+	e.st.mark = -1
+	e.st.roots = make([]Frame, e.n)
+	e.st.images = make([][]laneImage, e.n)
 	if !e.tracing {
 		e.EnableTrace()
 	}
@@ -723,6 +738,7 @@ func (e *Exec) stateBeforeGrant(pid, k int, crash bool) {
 	if k != 1 {
 		panic("vexec: StepN batching is not allowed under EnableState (checkpoints must see every decision)")
 	}
+	e.saveLane(pid, e.grants-1)
 	if crash {
 		return
 	}
@@ -742,6 +758,7 @@ func (e *Exec) stateBeforeGrant(pid, k int, crash bool) {
 		cell.StateInto(&rc.initState)
 		e.st.cells = append(e.st.cells, rc)
 	}
+	e.st.cells[id].wrote = e.grants - 1
 	e.st.pending = pendingWrite{active: true, id: id, preWord: cell.StateWord()}
 }
 

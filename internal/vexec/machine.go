@@ -27,7 +27,11 @@
 // automata literature.
 package vexec
 
-import "repro/internal/shmem"
+import (
+	"fmt"
+
+	"repro/internal/shmem"
+)
 
 // Status is a frame's report of why it returned control to the engine.
 type Status uint8
@@ -122,9 +126,9 @@ type captureFrame struct {
 
 // Capture wraps a root frame so its result lands in *got and *ok when the
 // lane finishes. Building it zeroes the slot: a lane's slot then always holds
-// its current root's outcome (zero until it finishes), so a re-rooted lane
-// never shows an abandoned branch's result and a lane Restore skips keeps
-// its own.
+// its current root's outcome (zero until it finishes). The slot is part of
+// the frame's image, so a lane Restore copies back never shows an abandoned
+// branch's result and a lane Restore skips keeps its own.
 func Capture(child Frame, got *int64, ok *bool) Frame {
 	*got, *ok = 0, false
 	return &captureFrame{child: child, got: got, ok: ok}
@@ -137,4 +141,100 @@ func (c *captureFrame) Run(m *M, p *shmem.Proc) Status {
 	}
 	*c.got, *c.ok = m.RetI, m.RetB
 	return Done
+}
+
+// captureImage is a captureFrame's image: the frame, its outcome slot and
+// the image of the child it holds by pointer.
+type captureImage struct {
+	c     captureFrame
+	got   int64
+	ok    bool
+	child any
+}
+
+// Image implements Imager. The outcome slot rides along, so a restored lane
+// shows exactly the outcome it showed when the image was taken.
+func (c *captureFrame) Image(img any, load bool) any {
+	im, ok := img.(*captureImage)
+	if !ok {
+		im = new(captureImage)
+	}
+	if load {
+		*c = im.c
+		*c.got, *c.ok = im.got, im.ok
+	} else {
+		im.c = *c
+		im.got, im.ok = *c.got, *c.ok
+	}
+	im.child = ImageOf(c.child, im.child, load)
+	return im
+}
+
+// Imager is implemented by frames whose local state can be copied out and
+// back — every frame compiled in this repository. Restore under EnableState
+// rewinds a lane by loading an image of its root, so every root frame a
+// state-enabled engine runs must implement it.
+type Imager interface {
+	// Image saves the frame's local state into img (load false) or loads it
+	// back from img (load true), and returns the image. A save reuses img's
+	// storage when img is an image an earlier save of the same frame type
+	// returned, and allocates a fresh one otherwise (img nil). A load takes an
+	// image a save of this same frame returned and puts the frame back in
+	// exactly the state it was in at that save.
+	//
+	// The state is the frame's struct value — children embedded by value ride
+	// along, so stack pointers into the frame stay valid — plus the contents
+	// of every buffer the frame or a running embedded child mutates in place,
+	// plus the image of any child frame held by pointer. An embedded child
+	// that is not running (not on the lane's stack) needs nothing beyond the
+	// value copy: its next call re-arms it with Init first, which leaves none
+	// of its buffer contents live.
+	Image(img any, load bool) any
+}
+
+// ImageOf calls f's Image method; it panics if f does not implement Imager.
+func ImageOf(f Frame, img any, load bool) any {
+	im, ok := f.(Imager)
+	if !ok {
+		panic(fmt.Sprintf("vexec: frame %T does not implement Imager (restore copies lane images)", f))
+	}
+	return im.Image(img, load)
+}
+
+// NestedImage is the image of a frame that holds the images of child frames:
+// its struct value plus one slot per child image.
+type NestedImage[F any] struct {
+	value F
+	Child [2]any
+}
+
+// Nest saves or loads f's struct value through img, as ValueImage does, and
+// returns the image: the caller then saves or loads the images of the
+// children its value copy does not cover into Child.
+func Nest[F any](f *F, img any, load bool) *NestedImage[F] {
+	im, ok := img.(*NestedImage[F])
+	if !ok {
+		im = new(NestedImage[F])
+	}
+	if load {
+		*f = im.value
+	} else {
+		im.value = *f
+	}
+	return im
+}
+
+// ValueImage is the Image method of a frame whose whole local state is its
+// struct value: no buffer it writes in place and no child behind a pointer.
+func ValueImage[F any](f *F, img any, load bool) any {
+	if load {
+		*f = *img.(*F)
+		return img
+	}
+	c, ok := img.(*F)
+	if !ok {
+		c = new(F)
+	}
+	*c = *f
+	return c
 }

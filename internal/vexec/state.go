@@ -13,22 +13,21 @@ import (
 // state is plain data (register cells, lane positions, frame structs), so a
 // Snapshot is a struct copy: the CellState of every registered register plus
 // each lane's ProcState and phase. There is no undo log — restoring loads the
-// captured cell states outright (cells first written after the capture rewind
-// to the pre-image taken at registration) — and no goroutine respawn. Only a
-// lane that moved since the capture does per-lane work: its frame stack is
-// re-rooted and its current incarnation replayed from its read log, the same
-// handoff-free catch-up the goroutine engine runs, minus the goroutines. A
-// lane standing at its captured position (same phase, same ProcState) is
-// already in its captured state and keeps its frames and posted intent.
+// captured states of the cells written since the capture (cells first written
+// after it rewind to the pre-image taken at registration) — and no goroutine
+// respawn.
 //
-// The catch-up reuses the grant budget of advance(): a replaying lane's reads
-// consume the log (shmem replay mode) and its writes are suppressed, so
-// auto-granting exactly steps-since-incarnation intents lands the lane at its
-// captured yield point with its frame stack bit-identical to the capture. A
-// lane captured crashed gets one extra auto-grant: its post-target access
-// exits replay mode, which re-raises the captured crash (shmem.Crash) and
-// advance's recovery marks the lane crashed with its stack discarded —
-// exactly the state the crash grant left it in.
+// A lane's local state is restored by copy, not by replay. Before a lane's
+// first move (grant, crash or Restart) after a checkpoint, the engine pushes
+// a lane image onto the lane's log: the root of its current incarnation and
+// that root's Image (which covers every frame on the stack — children are
+// embedded by value or imaged by their parent), the stack slice itself, the
+// posted intent and M's return cells. Restore pops, per lane, the images
+// taken at or after the snapshot's decision point and loads the oldest of
+// them: that is the lane exactly as it stood at the snapshot. A lane with no
+// such image did not move and keeps its frames and posted intent. Nothing
+// is re-rooted and no access is re-run, so a backtrack costs one struct copy
+// per lane the abandoned decisions moved.
 
 var _ sched.StateEngine = (*Exec)(nil)
 var _ sched.StateReleaser = (*Exec)(nil)
@@ -76,6 +75,7 @@ func (e *Exec) Checkpoint() sched.ExecState {
 		s = &Snapshot{}
 	}
 	s.e = e
+	e.st.mark = e.grants
 	s.grants = e.grants
 	s.fp = e.fp
 	s.traceLen = len(e.traceBuf)
@@ -127,20 +127,19 @@ func (e *Exec) ReleaseState(st sched.ExecState) {
 }
 
 // Restore rewinds the engine to a Snapshot taken earlier on the current
-// branch: registered cells load their captured states (cells registered
-// since rewind to their registration pre-image), bookkeeping rolls back, and
-// every lane that moved since the capture is re-rooted and caught up from its
-// read log. On return the engine is at the captured decision point: same
-// pending set, same posted intents, same StateHash, same Fingerprint. No
-// grant is re-executed.
+// branch: cells written since the capture load their captured states (cells
+// registered since rewind to their registration pre-image), bookkeeping
+// rolls back, and every lane that moved since the capture loads its lane
+// image from that decision point — frames, stack, posted intent and outcome
+// slot copied back, process position rewound. On return the engine is at
+// the captured decision point: same pending set, same posted intents, same
+// StateHash, same Fingerprint. No grant is re-executed and no root is built.
 //
-// A lane whose phase and ProcState equal the capture's is skipped: snapshots
-// form a stack, so the engine stands on a descendant of the target, and every
-// grant, crash or Restart of a lane since then changed its step count, phase
-// or restart count. Equal position therefore means untouched — the lane's
-// frame stack, posted intent and outcome slot are already the captured ones,
-// and only its pending bit is re-set. A backtrack of a few decisions thus
-// costs the lanes those decisions moved, not all n.
+// A cell or lane that did not change since the capture is left alone: a
+// lane with no image at or after it keeps its frame stack, posted intent and
+// outcome slot and only gets its pending bit back. A backtrack of a few
+// decisions thus costs the cells and lanes those decisions touched, not all
+// of them.
 func (e *Exec) Restore(st sched.ExecState) {
 	if !e.st.enabled {
 		panic("vexec: Restore without EnableState")
@@ -159,17 +158,24 @@ func (e *Exec) Restore(st sched.ExecState) {
 		panic("vexec: Restore target is not an ancestor of the current state (snapshots form a stack)")
 	}
 	for id := range e.st.cells {
+		rc := &e.st.cells[id]
+		if rc.wrote < s.grants {
+			continue // not written since the capture: already in its captured state
+		}
 		if id < s.cellsLen {
-			e.st.cells[id].cell.LoadState(s.cells[id])
+			rc.cell.LoadState(s.cells[id])
 		} else {
 			// First written after the capture: back to the contents it had
 			// then (no write grant had touched it, so its registration
 			// pre-image is its state at every earlier decision point).
-			e.st.cells[id].cell.LoadState(e.st.cells[id].initState)
+			rc.cell.LoadState(rc.initState)
 		}
+		// Any write left on the branch precedes the capture.
+		rc.wrote = s.grants - 1
 	}
 	e.st.regHash = s.regHash
 	e.st.pending = pendingWrite{}
+	e.st.mark = s.grants
 	e.traceBuf = e.traceBuf[:s.traceLen]
 	e.fp = s.fp
 	e.grants = s.grants
@@ -187,41 +193,91 @@ func (e *Exec) Restore(st sched.ExecState) {
 	}
 	e.npending = 0
 	for pid, p := range e.procs {
-		if e.phase[pid] != s.phase[pid] || !p.At(s.procs[pid]) {
-			e.catchUp(pid, s.procs[pid], s.phase[pid])
-		} else if e.phase[pid] == phasePending {
+		log := e.st.images[pid]
+		k := len(log)
+		for k > 0 && log[k-1].at >= s.grants {
+			k--
+		}
+		if k < len(log) {
+			e.loadLane(pid, &log[k], s.procs[pid], s.phase[pid])
+			e.st.images[pid] = log[:k]
+		} else if e.phase[pid] != s.phase[pid] || !p.At(s.procs[pid]) {
+			panic(fmt.Sprintf("vexec: lane %d moved since the capture but has no lane image", pid))
+		}
+		if e.phase[pid] == phasePending {
 			e.pbits[uint(pid)>>6] |= 1 << (uint(pid) & 63)
 			e.npending++
 		}
 	}
 }
 
-// catchUp re-roots lane pid and replays its current incarnation to the
-// captured position. ps carries the lane's read-log cursor and step target;
-// want is the phase the lane must land in (asserted — a mismatch means the
-// body is not deterministic).
-func (e *Exec) catchUp(pid int, ps shmem.ProcState, want uint8) {
-	p := e.procs[pid]
-	p.LoadState(ps)
-	e.phase[pid] = phaseRunning
+// laneImage is one lane's local state at decision point at: the root of its
+// incarnation then, the root's Image, the frame stack and M's cells. The
+// stack entries point into the root (children embedded by value) or into
+// children the root's Image covers, so loading the root image and copying
+// the stack back restores every frame the stack names.
+type laneImage struct {
+	at     int64 // grants executed at the decision point the image captures
+	root   Frame
+	img    any
+	stack  []Frame
+	intent shmem.Intent
+	retI   int64
+	retB   bool
+}
+
+// saveLane pushes lane pid's image at decision point at, unless the lane
+// already has one taken since the latest checkpoint: only a lane's first
+// move after a checkpoint can be the move a Restore must undo. Pushed
+// entries reuse the storage of entries an earlier Restore popped.
+//
+// Every move of a live lane records its root first, so a crashed lane —
+// whose stack the crash grant emptied — is imaged with the root of the
+// incarnation it crashed in, and a restore puts that root's outcome slot
+// back too.
+func (e *Exec) saveLane(pid int, at int64) {
+	m := &e.ms[pid]
+	if len(m.stack) > 0 {
+		e.st.roots[pid] = m.stack[0]
+	}
+	if e.st.mark < 0 {
+		return // no checkpoint yet: no Restore can undo this move
+	}
+	log := e.st.images[pid]
+	if n := len(log); n > 0 && log[n-1].at >= e.st.mark {
+		return
+	}
+	if len(log) < cap(log) {
+		log = log[:len(log)+1]
+	} else {
+		log = append(log, laneImage{})
+	}
+	im := &log[len(log)-1]
+	im.at = at
+	im.root = e.st.roots[pid]
+	if im.root != nil {
+		im.img = ImageOf(im.root, im.img, false)
+	}
+	im.stack = append(im.stack[:0], m.stack...)
+	im.intent, im.retI, im.retB = m.intent, m.RetI, m.RetB
+	e.st.images[pid] = log
+}
+
+// loadLane puts lane pid back into image im, at process position ps and
+// phase phase (the snapshot's). A moved lane was pending or crashed at the
+// capture — a finished or panicked lane never moves again — so its root
+// result cells are clear.
+func (e *Exec) loadLane(pid int, im *laneImage, ps shmem.ProcState, phase uint8) {
+	e.procs[pid].Rewind(ps)
+	e.phase[pid] = phase
 	e.err[pid] = nil
 	e.retI[pid], e.retB[pid] = 0, false
-	budget := int(ps.Steps - ps.BaseSteps)
-	if want == phaseCrashed {
-		// One extra auto-grant: the access after the target is the one the
-		// crash grant intercepted; performing it exits replay mode, which
-		// re-raises the captured crash before the access or its step charge —
-		// the same place the original crash unwound.
-		budget++
+	e.st.roots[pid] = im.root
+	if im.root != nil {
+		ImageOf(im.root, im.img, true)
 	}
 	m := &e.ms[pid]
-	for i := range m.stack {
-		m.stack[i] = nil
-	}
-	m.stack = append(m.stack[:0], e.root(p))
-	e.advance(pid, budget)
-	if e.phase[pid] != want {
-		panic(fmt.Sprintf("vexec: lane %d restored to phase %s, captured %s (non-deterministic body?)",
-			pid, phaseName(e.phase[pid]), phaseName(want)))
-	}
+	clear(m.stack)
+	m.stack = append(m.stack[:0], im.stack...)
+	m.intent, m.RetI, m.RetB = im.intent, im.retI, im.retB
 }
