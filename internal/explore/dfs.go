@@ -50,6 +50,11 @@ type frame struct {
 	sleep         []sleepEntry // sleep set at node entry
 	crashesBefore int
 
+	// faultModel records that a fault model is on (set by faultOpen); it
+	// disables pickNext's dead-crash cut, which reasons about the default
+	// model's crashes only.
+	faultModel bool
+
 	// Fault-model branching (zero under the default model). restartable is
 	// the crashed-with-budget mask at node entry; restart choices mirror the
 	// crash masks. haltBt/haltDone schedule the Halt branch of a node with no
@@ -82,8 +87,11 @@ type sleepEntry struct {
 // NewSleepSet returns the exhaustive DFS with sleep-set pruning over the
 // full schedule-and-crash tree: every enabled grant, and — while fewer than
 // maxCrashes crashes have been injected — every crash, is scheduled at every
-// node. Unbudgeted (budget 0) it exhausts the tree, which is how
-// internal/model proves invariant suites at tiny populations.
+// node. A scheduled crash whose subtree could only end sleep-blocked is
+// skipped and counted in Stats.Pruned (default fault model only; see
+// pickNext), so no prefix is ever replayed to reach it. Unbudgeted (budget 0)
+// it exhausts the tree, which is how internal/model proves invariant suites
+// at tiny populations.
 func NewSleepSet(seed uint64, budget, maxCrashes int) *Tree {
 	return &Tree{budget: budget, maxCrashes: maxCrashes, seed: seed}
 }
@@ -174,9 +182,9 @@ func (t *Tree) Next(e sched.Engine) Choice {
 	if t.maxCrashes > 0 && f.crashesBefore < t.maxCrashes {
 		f.btCrash = f.enabled
 	}
-	if !pickNext(&f) {
-		// Every scheduled transition is asleep: this whole subtree reorders
-		// commuting grants of executions explored elsewhere.
+	if !pickNext(&f, t.maxCrashes, &t.stats.Pruned) {
+		// Every scheduled transition is asleep or a dead crash: this whole
+		// subtree reorders commuting grants of executions explored elsewhere.
 		t.abandoned = true
 		return Abandon
 	}
@@ -274,13 +282,14 @@ func (t *Tree) Backtrack(sched.Trace, sched.Result) bool {
 	}
 	for i := len(t.stack) - 1; i >= 0; i-- {
 		f := &t.stack[i]
-		if !frameOpen(f) {
+		if !pickNext(f, t.maxCrashes, &t.stats.Pruned) {
 			continue
 		}
 		t.stack = t.stack[:i+1]
-		pickNext(f)
 		// The committed choice executes as the last prefix event of the next
-		// execution, where Next counts it as a new decision.
+		// execution, where Next counts it as a new decision. A node whose
+		// remaining choices are all dead crashes is dropped here, so no
+		// prefix is replayed to reach it.
 		t.pos = 0
 		return true
 	}

@@ -85,7 +85,9 @@ type Stats struct {
 	// vexec copies back the lane images of only the lanes that moved).
 	Restored int
 	// Pruned counts enabled choices the strategy skipped because partial-order
-	// reasoning (sleep sets, backtrack sets) showed them redundant.
+	// reasoning (sleep sets, backtrack sets) showed them redundant — among
+	// them the tree strategies' dead crashes, whose subtree could only end
+	// sleep-blocked (see pickNext).
 	Pruned int
 	// Deduped counts nodes cut because their full state (registers + process
 	// local states, by 128-bit hash) had already been exhaustively explored.

@@ -34,14 +34,16 @@ func outcome(got []int64, res sched.Result) string {
 	return s
 }
 
-// bruteForce enumerates every complete crash-free schedule of mk's system by
-// explicit tree walking (rebuild + replay per node) and returns the set of
-// reachable outcomes. Exponential — callers keep the system tiny.
-func bruteForce(t *testing.T, n int, mk func() (sched.Body, func(res sched.Result) string)) map[string]bool {
+// bruteForce enumerates every complete schedule of mk's system — crashing
+// each pending process as its own branch while fewer than maxCrashes crashes
+// have been injected — by explicit tree walking (rebuild + replay per node)
+// and returns the set of reachable outcomes. Exponential — callers keep the
+// system tiny.
+func bruteForce(t *testing.T, n, maxCrashes int, mk func() (sched.Body, func(res sched.Result) string)) map[string]bool {
 	t.Helper()
 	out := make(map[string]bool)
-	var walk func(prefix sched.Trace)
-	walk = func(prefix sched.Trace) {
+	var walk func(prefix sched.Trace, crashes int)
+	walk = func(prefix sched.Trace, crashes int) {
 		body, fin := mk()
 		c, err := sched.ReplayTrace(n, nil, body, prefix)
 		if err != nil {
@@ -59,11 +61,14 @@ func bruteForce(t *testing.T, n int, mk func() (sched.Body, func(res sched.Resul
 		copy(ev, prefix)
 		for _, pid := range pids {
 			in := c.Intent(pid)
-			walk(append(ev, sched.TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg, K: 1}))
+			walk(append(ev, sched.TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg, K: 1}), crashes)
+			if crashes < maxCrashes {
+				walk(append(ev, sched.TraceEvent{Pid: pid, Op: in.Kind, Reg: in.Reg, Crash: true}), crashes+1)
+			}
 		}
 		c.Abort()
 	}
-	walk(nil)
+	walk(nil, 0)
 	return out
 }
 
@@ -120,7 +125,7 @@ func raceSystem(n int) func() (sched.Body, func(res sched.Result) string) {
 // and n = 3, while marking the search complete.
 func TestSleepSetMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		want := bruteForce(t, n, raceSystem(n))
+		want := bruteForce(t, n, 0, raceSystem(n))
 		got, st := driveTree(t, NewSleepSet(1, 0, 0), n, raceSystem(n))
 		if !st.Complete {
 			t.Fatalf("n=%d: sleep-set walk did not exhaust the tree: %+v", n, st)
@@ -166,33 +171,33 @@ func TestSleepSetPrunesCommutingGrants(t *testing.T) {
 	}
 }
 
-// TestSleepSetCrashBranching: with crash branching enabled, every crash
-// pattern's observable outcome is reached — including each solo-survivor
-// state — and the search still completes.
-func TestSleepSetCrashBranching(t *testing.T) {
-	const n = 2
-	mk := raceSystem(n)
-	got, st := driveTree(t, NewSleepSet(1, 0, n), n, mk)
-	if !st.Complete {
-		t.Fatalf("crash-branching walk incomplete: %+v", st)
-	}
-	// Every survivor pattern — both live, only 0, only 1, none — must appear
-	// among the outcomes (crash flags are part of the outcome string).
-	masks := map[string]bool{}
-	for o := range got {
-		mask := ""
+// TestCrashBranchingMatchesBruteForce anchors crash branching: for every
+// crash cap up to n, both tree walkers must reach exactly the outcomes of the
+// brute-force schedule-and-crash tree — crash flags are part of the outcome,
+// so every survivor pattern counts, including the one where everybody
+// crashed. Both walkers share pickNext's dead-crash cut, so comparing them
+// against each other alone could not catch an unsound cut.
+func TestCrashBranchingMatchesBruteForce(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		allCrashed := ""
 		for pid := 0; pid < n; pid++ {
-			if contains(o, fmt.Sprintf("%d:0:true", pid)) || contains(o, fmt.Sprintf("%d:1:true", pid)) || contains(o, fmt.Sprintf("%d:2:true", pid)) {
-				mask += "x"
-			} else {
-				mask += "."
-			}
+			allCrashed += fmt.Sprintf("%d:0:true ", pid)
 		}
-		masks[mask] = true
-	}
-	for _, want := range []string{"..", "x.", ".x", "xx"} {
-		if !masks[want] {
-			t.Fatalf("survivor pattern %q never reached; outcomes: %v", want, keys(got))
+		for maxCrashes := 1; maxCrashes <= n; maxCrashes++ {
+			want := bruteForce(t, n, maxCrashes, raceSystem(n))
+			if want[allCrashed] != (maxCrashes == n) {
+				t.Fatalf("n=%d crashes<=%d: brute force reaches all-crashed outcome: %v", n, maxCrashes, want[allCrashed])
+			}
+			for _, s := range []Strategy{NewSleepSet(1, 0, maxCrashes), NewSourceDPOR(1, 0, maxCrashes)} {
+				got, st := driveTree(t, s, n, raceSystem(n))
+				if !st.Complete {
+					t.Fatalf("n=%d crashes<=%d %s: walk incomplete: %+v", n, maxCrashes, s.Name(), st)
+				}
+				if fmt.Sprint(keys(got)) != fmt.Sprint(keys(want)) {
+					t.Fatalf("n=%d crashes<=%d %s: outcomes differ from brute force\n got %v\nwant %v",
+						n, maxCrashes, s.Name(), keys(got), keys(want))
+				}
+			}
 		}
 	}
 }
@@ -313,13 +318,4 @@ func keys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

@@ -40,6 +40,12 @@ import (
 //     the races its re-exploration would have surfaced are re-applied to the
 //     current prefix's backtrack sets.
 //
+// Choice selection is shared with Tree (pickNext), including its dead-crash
+// cut: a crash whose subtree could only end sleep-blocked is skipped from
+// the node's masks alone and counted in Stats.Pruned (default fault model
+// only). BacktrackState picks before it restores, so a frame left with only
+// such crashes closes without a restore.
+//
 // Like the stateless engines it pins every execution to one instance seed:
 // the search is over the schedules of a single deterministic system.
 type SourceDPOR struct {
@@ -309,7 +315,7 @@ func (t *SourceDPOR) Next(eng sched.Engine) Choice {
 	if t.maxCrashes > 0 && f.crashesBefore < t.maxCrashes {
 		f.btCrash = f.enabled
 	}
-	if !pickNext(&f.frame) {
+	if !pickNext(&f.frame, t.maxCrashes, &t.stats.Pruned) {
 		t.abandoned = true
 		return Abandon
 	}
@@ -349,7 +355,9 @@ func (t *SourceDPOR) commit(c sched.Engine, d int) {
 // BacktrackState implements Stateful: fold the finished execution's races
 // into the backtrack sets, close and pop exhausted frames (recording their
 // states in the dedup table), and restore the engine to the deepest frame
-// with an unexplored scheduled choice.
+// with an unexplored scheduled choice. The choice is picked before the
+// restore, so a frame whose remaining choices are all dead crashes closes
+// without one.
 func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sched.Result) bool {
 	if t.abandoned {
 		t.abandoned = false
@@ -364,7 +372,7 @@ func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sch
 	releaser, _ := c.(sched.StateReleaser)
 	for i := len(t.stack) - 1; i >= 0; i-- {
 		f := &t.stack[i]
-		if !frameOpen(&f.frame) {
+		if !pickNext(&f.frame, t.maxCrashes, &t.stats.Pruned) {
 			t.closeFrame(i)
 			if releaser != nil {
 				// The frame is fully explored: its checkpoint will never be
@@ -389,7 +397,6 @@ func (t *SourceDPOR) BacktrackState(c sched.StateEngine, tr sched.Trace, res sch
 			}
 			t.hb.truncate(i)
 		}
-		pickNext(&f.frame)
 		t.resumeAt = i
 		return true
 	}
@@ -740,9 +747,10 @@ func (t *SourceDPOR) addSource(i, j int, tr sched.Trace, rel hbRel) {
 // before crashes, then halt, then restarts; ascending pid), marks it done,
 // and installs it as f.chosen. A step whose pending read has stale variants
 // (frame.staleN) is picked repeatedly — fresh first, then each stale choice —
-// and only its last variant marks the pid done. Shared with the stateless
-// Tree engine.
-func pickNext(f *frame) bool {
+// and only its last variant marks the pid done. A dead crash (see deadCrash)
+// is marked done without being chosen and counted in *pruned. Shared with
+// the stateless Tree engine; maxCrashes is the walk's crash cap.
+func pickNext(f *frame, maxCrashes int, pruned *int) bool {
 	if avail := f.btStep &^ f.doneStep; avail != 0 {
 		pid := bits.TrailingZeros64(avail)
 		if f.staleN == nil || f.staleN[pid] == 0 {
@@ -758,9 +766,13 @@ func pickNext(f *frame) bool {
 		f.chosen = Choice{Pid: pid, Stale: v}
 		return true
 	}
-	if avail := f.btCrash &^ f.doneCrash; avail != 0 {
+	for avail := f.btCrash &^ f.doneCrash; avail != 0; avail &= avail - 1 {
 		pid := bits.TrailingZeros64(avail)
 		f.doneCrash |= 1 << uint(pid)
+		if f.deadCrash(pid, maxCrashes) {
+			*pruned++
+			continue
+		}
 		f.chosen = Choice{Pid: pid, Crash: true}
 		return true
 	}
@@ -778,20 +790,33 @@ func pickNext(f *frame) bool {
 	return false
 }
 
-// frameOpen reports whether f still has an unexplored scheduled choice.
-func frameOpen(f *frame) bool {
-	if (f.btStep&^f.doneStep)|(f.btCrash&^f.doneCrash)|(f.btRestart&^f.doneRestart) != 0 {
-		return true
+// deadCrash reports whether crashing pid at f leads to a node whose every
+// execution ends sleep-blocked, so executing it could only add partial
+// executions. A crash is independent of every other-pid transition, so the
+// child's sleep set keeps every explored or sleeping sibling of f (doneStep
+// and doneCrash minus pid), and no crash below it wakes any of them. With
+// every other pending step asleep only crashes remain below the child, and a
+// complete execution needs all k other pending processes crashed: the child
+// is dead when those crashes are asleep too or the remaining crash budget is
+// smaller than k. (With k = 0 the crash itself completes the execution.)
+// Under a fault model restarts, halts and stale variants reach past this
+// argument, so every crash executes.
+func (f *frame) deadCrash(pid, maxCrashes int) bool {
+	rest := f.enabled &^ (1 << uint(pid))
+	if f.faultModel || rest == 0 || rest&^f.doneStep != 0 {
+		return false
 	}
-	return f.haltBt && !f.haltDone
+	return rest&^f.doneCrash == 0 || maxCrashes-f.crashesBefore-1 < bits.OnesCount64(rest)
 }
 
 // faultOpen seeds a frame's fault-model branching from the live engine:
 // the restartable mask (scheduled exhaustively, like crashes), the Halt
 // branch of pending-free nodes, and the stale-variant counts of every
-// enabled pending read. No-op under the default model.
+// enabled pending read, and records in f.faultModel whether any fault model
+// is on. Under the default model it seeds nothing.
 func faultOpen(c sched.Engine, f *frame) {
 	m := c.Model()
+	f.faultModel = !m.Atomic()
 	if m.Recovery {
 		f.restartable = restartableMask(c)
 		f.btRestart = f.restartable

@@ -12,7 +12,7 @@ import (
 // tree reaches, while marking the search complete.
 func TestSourceDPORMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		want := bruteForce(t, n, raceSystem(n))
+		want := bruteForce(t, n, 0, raceSystem(n))
 		got, st := driveTree(t, NewSourceDPOR(1, 0, 0), n, raceSystem(n))
 		if !st.Complete {
 			t.Fatalf("n=%d: source-DPOR did not exhaust its reduced tree: %+v", n, st)
@@ -32,7 +32,7 @@ func TestSourceDPORMatchesBruteForce(t *testing.T) {
 // (dedup off) is sound on its own.
 func TestSourceDPORNoDedupMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		want := bruteForce(t, n, raceSystem(n))
+		want := bruteForce(t, n, 0, raceSystem(n))
 		got, st := driveTree(t, NewSourceDPOR(1, 0, 0).DisableDedup(), n, raceSystem(n))
 		if !st.Complete {
 			t.Fatalf("n=%d: search incomplete: %+v", n, st)
@@ -41,22 +41,6 @@ func TestSourceDPORNoDedupMatchesBruteForce(t *testing.T) {
 			if !got[o] {
 				t.Fatalf("n=%d: outcome %q reachable but never explored", n, o)
 			}
-		}
-	}
-}
-
-// TestSourceDPORCrashBranching: with crash branching the engine reaches
-// every survivor pattern, like the exhaustive sleep-set walker.
-func TestSourceDPORCrashBranching(t *testing.T) {
-	const n = 2
-	got, st := driveTree(t, NewSourceDPOR(1, 0, n), n, raceSystem(n))
-	if !st.Complete {
-		t.Fatalf("crash-branching walk incomplete: %+v", st)
-	}
-	want, _ := driveTree(t, NewSleepSet(1, 0, n), n, raceSystem(n))
-	for o := range want {
-		if !got[o] {
-			t.Fatalf("outcome %q reached by sleep-set crash walk but not source-DPOR", o)
 		}
 	}
 }

@@ -4,6 +4,7 @@
 package model_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/check"
@@ -48,6 +49,7 @@ func TestProveConformanceTable(t *testing.T) {
 				if rep.Replayed != 0 {
 					t.Fatalf("n=%d: the stateful engine replayed %d grants; restore must replace replay", n, rep.Replayed)
 				}
+				checkPin(t, fmt.Sprintf("proven/%s/n=%d/crashes=%d", tc.Name, n, cell.MaxCrashes), &rep)
 				proven++
 				t.Log(rep.Summary())
 			}

@@ -4,6 +4,7 @@
 package model_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,6 +41,7 @@ func TestProveFaultCells(t *testing.T) {
 					n, tc.Origs(n, 1), tc.Suite(n, "model"),
 					model.Options{MaxCrashes: cell.MaxCrashes, Model: cell.Model})
 				cols[cell.Model.String()] = true
+				checkPin(t, fmt.Sprintf("fault/%s/n=%d/crashes=%d/model=%s", tc.Name, n, cell.MaxCrashes, cell.Model), &rep)
 				if cell.ExpectViolation == "" {
 					if rep.Violation != nil {
 						t.Fatalf("n=%d crashes<=%d model=%s: invariant VIOLATED:\n%s",

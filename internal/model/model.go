@@ -178,12 +178,18 @@ type Report struct {
 	Walker     Walker
 	Engine     Engine // resolved: never EngineAuto in a returned report
 	Executions int    // complete executions checked
-	Partial    int    // redundant prefixes cut by sleep sets or state dedup
-	Explored   int    // scheduling decisions executed
-	Pruned     int    // enabled choices skipped as commuting-equivalent
-	Replayed   int    // prefix grants re-executed (stateless engine only)
-	Restored   int    // checkpoint restores (stateful engine only)
-	Deduped    int    // nodes cut as already-explored states (stateful engine)
+	// Partial counts redundant prefixes abandoned mid-flight: sleep-blocked
+	// nodes and state-dedup cuts. A crash whose subtree could hold nothing
+	// else is never executed, so it adds no prefix here (see Pruned).
+	Partial  int
+	Explored int // scheduling decisions executed
+	// Pruned counts enabled choices skipped without executing them: steps
+	// and crashes asleep as commuting-equivalent, and (default fault model)
+	// crashes whose subtree could only end sleep-blocked.
+	Pruned   int
+	Replayed int // prefix grants re-executed (stateless engine only)
+	Restored int // checkpoint restores (stateful engine only)
+	Deduped  int // nodes cut as already-explored states (stateful engine)
 	// RaceEvents counts happens-before rows derived by source-DPOR's race
 	// analysis — per-event with the incremental layer, per-trace-per-leaf
 	// with the rebuild reference — and RaceTime the wall-clock spent there.

@@ -55,6 +55,7 @@ func TestProveLongLivedService(t *testing.T) {
 			if !rep.Proven() {
 				t.Fatalf("tree not exhausted: %s", rep.Summary())
 			}
+			checkPin(t, fmt.Sprintf("service/%s/n=%d/%s", c.algo, c.n, c.engine), &rep)
 			t.Log(rep.Summary())
 		})
 	}

@@ -76,7 +76,10 @@ type Metrics struct {
 	Failed   int64 // sessions that exhausted MaxAttempts without a name
 	Crashed  int64 // sessions killed by churn (lease reclaimed)
 	Grants   int64 // engine grants issued
-	Elapsed  time.Duration
+	// Fingerprint is the engine's schedule fingerprint at the end of the run
+	// (sched.Result.Fingerprint): equal on both engines for equal runs.
+	Fingerprint uint64
+	Elapsed     time.Duration
 
 	// Acquire latency in local steps (announce + algorithm accesses,
 	// retries included), over acquired sessions.
@@ -332,7 +335,10 @@ func (d *Driver) observe(pid int, wasHolding bool) {
 }
 
 // Run drives the workload to completion and returns the metrics. On the
-// vectorized engine the loop allocates nothing per session.
+// vectorized engine the loop allocates nothing per session. A lane that
+// panicked (an audit violation inside its step, say) stops mid-session, so
+// Run panics with the engine's recorded error rather than return metrics
+// that silently miss the session.
 func (d *Driver) Run() Metrics {
 	start := time.Now()
 	granted, lastCrash := int64(0), int64(-1)
@@ -358,11 +364,15 @@ func (d *Driver) Run() Metrics {
 			panic(fmt.Sprintf("service: driver exceeded %d grants (stuck workload?)", d.w.MaxGrants))
 		}
 	}
+	res := d.e.Result() // before Abort tears the goroutine lanes down
 	if d.ctl != nil {
 		// Crashed goroutine lanes may strand arrivals (no relaunch on this
 		// engine); everything still pending at exit is dead weight the
 		// controller cleans up.
 		d.ctl.Abort()
+	}
+	if res.Err != nil {
+		panic(res.Err)
 	}
 	elapsed := time.Since(start)
 	engine := "goroutine"
@@ -370,15 +380,16 @@ func (d *Driver) Run() Metrics {
 		engine = "vexec"
 	}
 	m := Metrics{
-		Engine:     engine,
-		Sessions:   d.acquired + d.failed + d.crashedCnt,
-		Acquired:   d.acquired,
-		Failed:     d.failed,
-		Crashed:    d.crashedCnt,
-		Grants:     granted,
-		Elapsed:    elapsed,
-		AcquireMax: d.maxAcq,
-		Stats:      d.svc.Stats(),
+		Engine:      engine,
+		Sessions:    d.acquired + d.failed + d.crashedCnt,
+		Acquired:    d.acquired,
+		Failed:      d.failed,
+		Crashed:     d.crashedCnt,
+		Grants:      granted,
+		Fingerprint: res.Fingerprint,
+		Elapsed:     elapsed,
+		AcquireMax:  d.maxAcq,
+		Stats:       d.svc.Stats(),
 	}
 	m.AcquireP50 = d.quantile(0.50)
 	m.AcquireP99 = d.quantile(0.99)

@@ -1,9 +1,13 @@
 package service
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/shmem"
+	"repro/internal/vexec"
 )
 
 func TestNamePackUnpack(t *testing.T) {
@@ -86,8 +90,9 @@ func TestStreamGoroutineSteady(t *testing.T) {
 
 // TestStreamEnginesAgree: the goroutine oracle and the vectorized engine run
 // the same seeded workload through bit-compatible session loops, so the
-// outcome counters, the service counters, and the acquire-latency quantiles
-// must agree exactly.
+// decision sequence (grant count and schedule fingerprint), the outcome
+// counters, the service counters, and the acquire-latency quantiles must
+// agree exactly.
 func TestStreamEnginesAgree(t *testing.T) {
 	w := Workload{
 		Sessions: 800, Lanes: 8, Seed: 1234,
@@ -96,6 +101,11 @@ func TestStreamEnginesAgree(t *testing.T) {
 	cfg := Config{Cap: 8, Algo: "firstfit", Seed: 5}
 	mv := NewVexecDriver(New(cfg), w).Run()
 	mg := NewGoroutineDriver(New(cfg), w).Run()
+	if mv.Grants != mg.Grants || mv.Fingerprint != mg.Fingerprint {
+		t.Fatalf("decision sequences diverge: vexec %d grants (fingerprint %016x) vs goroutine %d (%016x)",
+			mv.Grants, mv.Fingerprint, mg.Grants, mg.Fingerprint)
+	}
+	t.Logf("%d grants, fingerprint %016x", mv.Grants, mv.Fingerprint)
 	if mv.Acquired != mg.Acquired || mv.Failed != mg.Failed {
 		t.Fatalf("outcomes diverge: vexec %d/%d vs goroutine %d/%d",
 			mv.Acquired, mv.Failed, mg.Acquired, mg.Failed)
@@ -106,6 +116,41 @@ func TestStreamEnginesAgree(t *testing.T) {
 	}
 	if mv.Stats != mg.Stats {
 		t.Fatalf("service counters diverge:\nvexec     %+v\ngoroutine %+v", mv.Stats, mg.Stats)
+	}
+}
+
+// plantedFrame panics on its first step, standing in for a session whose
+// step trips the online audit.
+type plantedFrame struct{}
+
+func (plantedFrame) Run(m *vexec.M, p *shmem.Proc) vexec.Status { panic("planted frame panic") }
+
+// runRecovered runs d and returns what Run panicked with, if anything.
+func runRecovered(d *Driver) (m Metrics, p any) {
+	defer func() { p = recover() }()
+	return d.Run(), nil
+}
+
+// TestStreamLanePanicSurfaces: a lane that panics mid-stream stops with its
+// session unfinished, so Run must panic with the engine's recorded error
+// instead of returning metrics one session short. The vectorized driver gets
+// a panicking root on lane 0's first relaunch; the goroutine driver's lane 0
+// panics when it pulls its second arrival.
+func TestStreamLanePanicSurfaces(t *testing.T) {
+	w := Workload{Sessions: 200, Lanes: 4, Seed: 3, HoldMin: 0, HoldMax: 4, MaxGrants: 1_000_000}
+	cfg := Config{Cap: 8, Algo: "firstfit", Seed: 5}
+	vx := NewVexecDriver(New(cfg), w)
+	vx.roots[0] = func(p *shmem.Proc) vexec.Frame { return plantedFrame{} }
+	gr := NewGoroutineDriver(New(cfg), w)
+	gr.lanes[0].next = func() (int64, bool) { panic("planted frame panic") }
+	for _, d := range []*Driver{vx, gr} {
+		m, p := runRecovered(d)
+		if p == nil {
+			t.Fatalf("%s driver returned normally after a lane panic: %d of %d sessions", m.Engine, m.Sessions, w.Sessions)
+		}
+		if !strings.Contains(fmt.Sprint(p), "planted frame panic") {
+			t.Fatalf("driver panicked with %v, want the lane's planted panic", p)
+		}
 	}
 }
 
