@@ -171,6 +171,37 @@ func TestSleepSetPrunesCommutingGrants(t *testing.T) {
 	}
 }
 
+// TestSleepSetCrashBranching: with crash branching enabled, every crash
+// pattern's observable outcome is reached — including each solo-survivor
+// state — and the search still completes.
+func TestSleepSetCrashBranching(t *testing.T) {
+	const n = 2
+	mk := raceSystem(n)
+	got, st := driveTree(t, NewSleepSet(1, 0, n), n, mk)
+	if !st.Complete {
+		t.Fatalf("crash-branching walk incomplete: %+v", st)
+	}
+	// Every survivor pattern — both live, only 0, only 1, none — must appear
+	// among the outcomes (crash flags are part of the outcome string).
+	masks := map[string]bool{}
+	for o := range got {
+		mask := ""
+		for pid := 0; pid < n; pid++ {
+			if contains(o, fmt.Sprintf("%d:0:true", pid)) || contains(o, fmt.Sprintf("%d:1:true", pid)) || contains(o, fmt.Sprintf("%d:2:true", pid)) {
+				mask += "x"
+			} else {
+				mask += "."
+			}
+		}
+		masks[mask] = true
+	}
+	for _, want := range []string{"..", "x.", ".x", "xx"} {
+		if !masks[want] {
+			t.Fatalf("survivor pattern %q never reached; outcomes: %v", want, keys(got))
+		}
+	}
+}
+
 // TestCrashBranchingMatchesBruteForce anchors crash branching: for every
 // crash cap up to n, both tree walkers must reach exactly the outcomes of the
 // brute-force schedule-and-crash tree — crash flags are part of the outcome,
@@ -318,4 +349,13 @@ func keys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+func contains(s, sub string) bool {
+	for i := 0; i+len(sub) <= len(s); i++ {
+		if s[i:i+len(sub)] == sub {
+			return true
+		}
+	}
+	return false
 }

@@ -45,6 +45,22 @@ func TestSourceDPORNoDedupMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestSourceDPORCrashBranching: with crash branching the engine reaches
+// every survivor pattern, like the exhaustive sleep-set walker.
+func TestSourceDPORCrashBranching(t *testing.T) {
+	const n = 2
+	got, st := driveTree(t, NewSourceDPOR(1, 0, n), n, raceSystem(n))
+	if !st.Complete {
+		t.Fatalf("crash-branching walk incomplete: %+v", st)
+	}
+	want, _ := driveTree(t, NewSleepSet(1, 0, n), n, raceSystem(n))
+	for o := range want {
+		if !got[o] {
+			t.Fatalf("outcome %q reached by sleep-set crash walk but not source-DPOR", o)
+		}
+	}
+}
+
 // TestSourceDPORNotWeakerThanDPOR: on the contended fixture the source-set
 // engine must explore no more decisions than the stateless sleep-set walker
 // at full coverage — the reduction race analysis buys over sleep sets alone
